@@ -133,7 +133,7 @@ fn preset_cells(platform: &Platform, rows: &mut Vec<Row>) -> (bool, f64, f64) {
 }
 
 /// Corpus gate: every mutation statically flagged with the expected
-/// kinds/reasons, and every plan-level mutation's runtime violation
+/// kinds, and every plan-level mutation's runtime violation
 /// kinds covered by the static report (zero false negatives).
 fn corpus_gate(platform: &Platform, seeds: &[u64], rows: &mut Vec<Row>) -> (bool, f64) {
     let probe = probe_cell(platform);
@@ -156,9 +156,7 @@ fn corpus_gate(platform: &Platform, seeds: &[u64], rows: &mut Vec<Row>) -> (bool
 
             let verdict_ok = report.verdict() == case.expect_verdict;
             let kinds = report.kinds();
-            let kinds_ok = case.expect_kinds.iter().all(|k| kinds.contains(k));
-            let reasons = report.reason_kinds();
-            let reasons_ok = case.expect_reasons.iter().all(|r| reasons.contains(r));
+            let kinds_ok = case.expect.iter().all(|k| kinds.contains(k));
 
             // Differential half: the runtime checker must agree, and
             // nothing it reports may be missing from the static report.
@@ -184,7 +182,7 @@ fn corpus_gate(platform: &Platform, seeds: &[u64], rows: &mut Vec<Row>) -> (bool
                     .join("+");
             }
 
-            let case_ok = verdict_ok && kinds_ok && reasons_ok && no_false_negatives;
+            let case_ok = verdict_ok && kinds_ok && no_false_negatives;
             println!(
                 "  seed {seed:>10} {:<24} static {:<9} runtime {:<24} {}",
                 case.name,
@@ -193,10 +191,7 @@ fn corpus_gate(platform: &Platform, seeds: &[u64], rows: &mut Vec<Row>) -> (bool
                 if case_ok { "ok" } else { "FAIL" }
             );
             if !case_ok {
-                println!(
-                    "    expected {:?} {:?} {:?}",
-                    case.expect_verdict, case.expect_kinds, case.expect_reasons
-                );
+                println!("    expected {:?} {:?}", case.expect_verdict, case.expect);
                 print!("{report}");
             }
             rows.push(Row {

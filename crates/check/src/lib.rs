@@ -35,8 +35,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod conform;
-
 use amrio_disk::{IoEvent, Pfs};
 use amrio_simt::sync::Mutex;
 use amrio_simt::SimTime;

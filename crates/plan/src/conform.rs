@@ -1,17 +1,14 @@
-//! Pure plan↔trace conformance primitives.
+//! Pure plan↔trace conformance primitives: the backend-agnostic diff
+//! machinery that compares a plan's collective schedule and byte
+//! footprints against what a checked run actually recorded — the
+//! [`Checker`] collective log and the `amrio-disk` I/O trace. Every
+//! function is pure over plain data, so the diffs are unit-testable in
+//! isolation.
 //!
-//! `amrio-plan` derives a symbolic access plan (collective schedule +
-//! file-byte footprints) for a checkpoint phase; this module holds the
-//! backend-agnostic diff machinery that compares such a plan against
-//! what a checked run actually recorded — the [`Checker`] collective log
-//! and the `amrio-disk` I/O trace. Everything here is a pure function
-//! over plain data, so the planner stays decoupled from the runtime and
-//! the diffs are unit-testable in isolation.
-//!
-//! [`Checker`]: crate::Checker
+//! [`Checker`]: amrio_check::Checker
 
-use crate::CollDesc;
-use crate::CollKind;
+use crate::diag::{Diagnostic, Kind, Span};
+use amrio_check::{CollDesc, CollKind};
 use std::fmt;
 
 /// A byte region `(offset, len)` within one file.
@@ -53,68 +50,6 @@ impl fmt::Display for CollExpect {
             None => write!(f, ", *B)")?,
         }
         write!(f, " [{}]", self.label)
-    }
-}
-
-/// One divergence between the static plan and the observed run.
-#[derive(Clone, Debug)]
-pub enum ConformanceIssue {
-    /// Planned and observed collective counts differ for a phase.
-    SeqLength {
-        phase: &'static str,
-        expected: usize,
-        observed: usize,
-    },
-    /// A collective step differs from the plan.
-    SeqStep {
-        phase: &'static str,
-        step: usize,
-        expected: String,
-        observed: String,
-    },
-    /// Bytes the plan proves written that the run never wrote.
-    WriteGap { file: String, missing: Vec<Region> },
-    /// Bytes the run wrote that the plan does not account for.
-    WriteExtra { file: String, extra: Vec<Region> },
-    /// Bytes the plan requires read that the run never read.
-    ReadMissing { file: String, missing: Vec<Region> },
-    /// The run touched a file the plan knows nothing about.
-    UnplannedFile { file: String },
-}
-
-impl fmt::Display for ConformanceIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConformanceIssue::SeqLength {
-                phase,
-                expected,
-                observed,
-            } => write!(
-                f,
-                "{phase} phase: planned {expected} collectives, observed {observed}"
-            ),
-            ConformanceIssue::SeqStep {
-                phase,
-                step,
-                expected,
-                observed,
-            } => write!(
-                f,
-                "{phase} phase, collective #{step}: planned {expected}, observed {observed}"
-            ),
-            ConformanceIssue::WriteGap { file, missing } => {
-                write!(f, "{file}: planned bytes never written: {missing:?}")
-            }
-            ConformanceIssue::WriteExtra { file, extra } => {
-                write!(f, "{file}: unplanned bytes written: {extra:?}")
-            }
-            ConformanceIssue::ReadMissing { file, missing } => {
-                write!(f, "{file}: planned bytes never read: {missing:?}")
-            }
-            ConformanceIssue::UnplannedFile { file } => {
-                write!(f, "unplanned file accessed: {file}")
-            }
-        }
     }
 }
 
@@ -174,26 +109,34 @@ pub fn subtract_regions(a: &[Region], b: &[Region]) -> Vec<Region> {
 /// sequence (in epoch order). Mismatched steps are reported
 /// individually; a length mismatch is reported once.
 pub fn diff_collectives(
+    span: &Span,
     phase: &'static str,
     expected: &[CollExpect],
     observed: &[CollDesc],
-) -> Vec<ConformanceIssue> {
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if expected.len() != observed.len() {
-        out.push(ConformanceIssue::SeqLength {
-            phase,
-            expected: expected.len(),
-            observed: observed.len(),
-        });
+        out.push(Diagnostic::new(
+            Kind::CollectiveCount,
+            span.clone(),
+            format!(
+                "{phase} phase: planned {} collectives, observed {}",
+                expected.len(),
+                observed.len()
+            ),
+        ));
     }
     for (step, (e, o)) in expected.iter().zip(observed).enumerate() {
         if !e.matches(o) {
-            out.push(ConformanceIssue::SeqStep {
-                phase,
-                step,
-                expected: e.to_string(),
-                observed: format!("{}(root={:?}, op={:?}, {}B)", o.kind, o.root, o.op, o.bytes),
-            });
+            out.push(Diagnostic::new(
+                Kind::CollectiveStep,
+                span.clone(),
+                format!(
+                    "{phase} phase, collective #{step}: planned {e}, observed {}(root={:?}, \
+                     op={:?}, {}B)",
+                    o.kind, o.root, o.op, o.bytes
+                ),
+            ));
             if out.len() >= 32 {
                 break;
             }
@@ -202,51 +145,50 @@ pub fn diff_collectives(
     out
 }
 
+/// One diagnostic for a non-empty set of divergent regions, anchored at
+/// the first of them.
+fn regions_issue(kind: Kind, span: &Span, what: &str, regions: Vec<Region>) -> Option<Diagnostic> {
+    let first = *regions.first()?;
+    Some(Diagnostic::new(
+        kind,
+        span.clone().bytes(first),
+        format!("{what}: {regions:?}"),
+    ))
+}
+
 /// Require the observed write union to equal the planned one exactly.
-/// Both inputs may be unnormalized.
+/// Both inputs may be unnormalized; `span` names the file.
 pub fn diff_write_union(
-    file: &str,
+    span: &Span,
     mut planned: Vec<Region>,
     mut observed: Vec<Region>,
-) -> Vec<ConformanceIssue> {
+) -> Vec<Diagnostic> {
     normalize_regions(&mut planned);
     normalize_regions(&mut observed);
-    let mut out = Vec::new();
     let missing = subtract_regions(&planned, &observed);
-    if !missing.is_empty() {
-        out.push(ConformanceIssue::WriteGap {
-            file: file.to_string(),
-            missing,
-        });
-    }
     let extra = subtract_regions(&observed, &planned);
-    if !extra.is_empty() {
-        out.push(ConformanceIssue::WriteExtra {
-            file: file.to_string(),
-            extra,
-        });
-    }
-    out
+    [
+        regions_issue(Kind::WriteGap, span, "planned bytes never written", missing),
+        regions_issue(Kind::WriteExtra, span, "unplanned bytes written", extra),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Require every planned read byte to have been observed read (the run
 /// may legitimately over-read: data sieving, format header probing).
 pub fn diff_read_cover(
-    file: &str,
+    span: &Span,
     mut planned: Vec<Region>,
     mut observed: Vec<Region>,
-) -> Vec<ConformanceIssue> {
+) -> Vec<Diagnostic> {
     normalize_regions(&mut planned);
     normalize_regions(&mut observed);
     let missing = subtract_regions(&planned, &observed);
-    if missing.is_empty() {
-        Vec::new()
-    } else {
-        vec![ConformanceIssue::ReadMissing {
-            file: file.to_string(),
-            missing,
-        }]
-    }
+    regions_issue(Kind::ReadMissing, span, "planned bytes never read", missing)
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -269,24 +211,24 @@ mod tests {
     #[test]
     fn write_union_equality() {
         // Same union spelled differently: clean.
-        assert!(diff_write_union("f", vec![(0, 64), (64, 64)], vec![(0, 128)]).is_empty());
-        let issues = diff_write_union("f", vec![(0, 128)], vec![(0, 64), (100, 64)]);
+        let f = Span::new("t").file("f");
+        assert!(diff_write_union(&f, vec![(0, 64), (64, 64)], vec![(0, 128)]).is_empty());
+        let issues = diff_write_union(&f, vec![(0, 128)], vec![(0, 64), (100, 64)]);
         assert_eq!(issues.len(), 2, "{issues:?}");
-        assert!(
-            matches!(&issues[0], ConformanceIssue::WriteGap { missing, .. }
-            if missing == &vec![(64, 36)])
-        );
-        assert!(
-            matches!(&issues[1], ConformanceIssue::WriteExtra { extra, .. }
-            if extra == &vec![(128, 36)])
-        );
+        assert_eq!(issues[0].kind, Kind::WriteGap);
+        assert_eq!(issues[0].span.bytes, Some((64, 36)));
+        assert_eq!(issues[1].kind, Kind::WriteExtra);
+        assert_eq!(issues[1].span.bytes, Some((128, 36)));
+        assert_eq!(issues[1].span.file.as_deref(), Some("f"));
     }
 
     #[test]
     fn read_cover_allows_overread() {
-        assert!(diff_read_cover("f", vec![(10, 10)], vec![(0, 512)]).is_empty());
-        let issues = diff_read_cover("f", vec![(10, 10)], vec![(0, 5)]);
+        let f = Span::new("t").file("f");
+        assert!(diff_read_cover(&f, vec![(10, 10)], vec![(0, 512)]).is_empty());
+        let issues = diff_read_cover(&f, vec![(10, 10)], vec![(0, 5)]);
         assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].kind, Kind::ReadMissing);
     }
 
     #[test]
@@ -306,7 +248,9 @@ mod tests {
             bytes: 8,
             uniform_bytes: true,
         };
+        let t = Span::new("t");
         assert!(diff_collectives(
+            &t,
             "write",
             std::slice::from_ref(&exp),
             std::slice::from_ref(&ok)
@@ -316,14 +260,19 @@ mod tests {
             op: Some("max"),
             ..ok.clone()
         };
-        let issues = diff_collectives("write", std::slice::from_ref(&exp), &[bad]);
+        let issues = diff_collectives(&t, "write", std::slice::from_ref(&exp), &[bad]);
         assert_eq!(issues.len(), 1, "{issues:?}");
+        assert_eq!(issues[0].kind, Kind::CollectiveStep);
         // Data-dependent bytes are not compared.
         let anyb = CollExpect { bytes: None, ..exp };
-        let other = CollDesc { bytes: 999, ..ok };
-        assert!(diff_collectives("write", &[anyb], &[other]).is_empty());
+        let other = CollDesc {
+            bytes: 999,
+            ..ok.clone()
+        };
+        assert!(diff_collectives(&t, "write", &[anyb], &[other]).is_empty());
         // Length mismatch reported once.
-        let issues = diff_collectives("read", &[], &[]);
-        assert!(issues.is_empty());
+        let issues = diff_collectives(&t, "read", &[], std::slice::from_ref(&ok));
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert_eq!(issues[0].kind, Kind::CollectiveCount);
     }
 }

@@ -1,13 +1,12 @@
 //! Plan↔trace conformance: diff a statically derived [`AccessPlan`]
 //! against what a probed run actually did ([`RunProbe`]) — the
 //! collective log windowed to the checkpoint phases, and the raw `Pfs`
-//! trace grouped per file. Zero issues means the run behaved exactly as
+//! trace grouped per file. Zero diagnostics means the run behaved exactly as
 //! the static plan predicted.
 
+use crate::conform::{diff_collectives, diff_read_cover, diff_write_union, Region};
+use crate::diag::{Diagnostic, Kind, Span};
 use crate::AccessPlan;
-use amrio_check::conform::{
-    diff_collectives, diff_read_cover, diff_write_union, ConformanceIssue, Region,
-};
 use amrio_check::CollDesc;
 use amrio_enzo::RunProbe;
 use std::collections::BTreeMap;
@@ -31,16 +30,19 @@ fn window(probe: &RunProbe, epochs: (u64, u64)) -> Vec<CollDesc> {
 /// 3. per file, that every planned read byte was actually read (the
 ///    run may over-read: data sieving, format header scans);
 /// 4. that the run touched no file the plan does not know.
-pub fn check_conformance(plan: &AccessPlan, probe: &RunProbe) -> Vec<ConformanceIssue> {
+pub fn check_conformance(plan: &AccessPlan, probe: &RunProbe) -> Vec<Diagnostic> {
     let mut issues = Vec::new();
+    let span = Span::new(plan.backend);
 
     if let (Some(w0), Some(r0)) = (plan.write_schedule.first(), plan.read_schedule.first()) {
         issues.extend(diff_collectives(
+            &span,
             "write",
             w0,
             &window(probe, probe.write_epochs),
         ));
         issues.extend(diff_collectives(
+            &span,
             "read",
             r0,
             &window(probe, probe.read_epochs),
@@ -64,14 +66,15 @@ pub fn check_conformance(plan: &AccessPlan, probe: &RunProbe) -> Vec<Conformance
     }
 
     for fp in &plan.files {
+        let file = span.clone().file(&fp.path);
         let observed_w = writes.remove(fp.path.as_str()).unwrap_or_default();
         issues.extend(diff_write_union(
-            &fp.path,
+            &file,
             fp.planned_write_regions(),
             observed_w,
         ));
         let observed_r = reads.remove(fp.path.as_str()).unwrap_or_default();
-        issues.extend(diff_read_cover(&fp.path, fp.reads.clone(), observed_r));
+        issues.extend(diff_read_cover(&file, fp.reads.clone(), observed_r));
     }
 
     // Whatever traffic remains hit files outside the plan.
@@ -79,9 +82,11 @@ pub fn check_conformance(plan: &AccessPlan, probe: &RunProbe) -> Vec<Conformance
     stray.sort_unstable();
     stray.dedup();
     for file in stray {
-        issues.push(ConformanceIssue::UnplannedFile {
-            file: file.to_string(),
-        });
+        issues.push(Diagnostic::new(
+            Kind::UnplannedFile,
+            span.clone().file(file),
+            format!("unplanned file accessed: {file}"),
+        ));
     }
     issues
 }

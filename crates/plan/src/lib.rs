@@ -1,47 +1,52 @@
-//! `amrio-plan` — static I/O access-plan extraction and verification.
+//! `amrio-plan` — static I/O access-plan extraction, plus the one
+//! finding type every static analysis in the workspace reports.
 //!
 //! Every checkpoint strategy in `amrio-enzo` is deterministic given the
 //! replicated grid hierarchy, the rank count, and the backend: which
 //! collectives each rank enters, in which order, and which file bytes
 //! each dataset write or restart read touches are all decidable *without
 //! running the simulator*. This crate extracts that complete per-rank
-//! access plan symbolically and then proves three properties over it:
+//! access plan symbolically ([`plan`]) and analyzes it:
 //!
 //! 1. **Exact-once coverage** ([`verify_exact_once`]): every byte of
 //!    every baryon-field and particle dataset is written by exactly one
 //!    rank — no gaps, no overlap — and metadata never lands on payload.
-//! 2. **Collective lockstep** ([`verify_lockstep`]): all ranks derive
-//!    the identical collective sequence (kind / root / reduce-op /
-//!    uniform byte counts), so no run of that configuration can
-//!    deadlock on mismatched collectives.
-//! 3. **Layout quality** ([`layout_metrics`]): file-system-block
+//! 2. **Layout quality** ([`layout_metrics`]): file-system-block
 //!    straddles, two-phase aggregator balance, and contiguity
 //!    statistics per backend — the static half of the paper's Table 1
 //!    analysis.
+//! 3. **Plan↔trace conformance** ([`check_conformance`], built on the
+//!    pure diffs in [`conform`]): a checked run records its `Pfs` trace
+//!    and collective log ([`amrio_enzo::RunProbe`]), and any divergence
+//!    from the static plan is reported as a hard error.
 //!
-//! The plan is also the reference for *plan↔trace conformance*
-//! ([`check_conformance`]): a checked run records its `Pfs` trace and
-//! collective log ([`amrio_enzo::RunProbe`]), and any divergence from
-//! the static plan is reported as a hard error.
+//! Collective lockstep, races, the commit protocol and fault folding
+//! are proved by `amrio-verify` over the same plan; performance lints
+//! live in `amrio-tune`. All of them — and the two passes above —
+//! report [`Diagnostic`]s: a [`Kind`] whose `Display` is the stable
+//! code, a [`Severity`], a message, a suggested fix and a [`Span`].
 
 #![forbid(unsafe_code)]
 
 use amrio_amr::{BlockDecomp, CellBox, Hierarchy};
-use amrio_check::conform::{CollExpect, Region};
 use amrio_disk::FsConfig;
 use amrio_enzo::{wire, RunProbe, TOP_GRID};
 use amrio_hdf5::OverheadModel;
 use amrio_mpiio::Hints;
 
+pub mod conform;
 mod conformance;
+pub mod diag;
 mod footprint;
 mod metrics;
 mod schedule;
 mod verify;
 
+use conform::{CollExpect, Region};
 pub use conformance::check_conformance;
+pub use diag::{sort_diagnostics, Diagnostic, Kind, Severity, Span};
 pub use metrics::{layout_metrics, LayoutMetrics};
-pub use verify::{verify_exact_once, verify_lockstep, Verification};
+pub use verify::{verify_exact_once, Verification};
 
 /// Which I/O strategy family the plan models.
 #[derive(Clone, Copy, Debug)]

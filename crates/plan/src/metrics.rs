@@ -68,7 +68,7 @@ pub fn layout_metrics(input: &PlanInput, plan: &AccessPlan) -> LayoutMetrics {
             .iter()
             .map(|&(_, off, len)| (off, len))
             .collect();
-        amrio_check::conform::normalize_regions(&mut meta);
+        crate::conform::normalize_regions(&mut meta);
         meta_bytes += meta.iter().map(|(_, l)| l).sum::<u64>();
 
         for ds in &file.datasets {

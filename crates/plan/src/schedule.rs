@@ -5,9 +5,9 @@
 //! wildcards (`None`) only where payloads depend on evolved data
 //! (particle counts after refinement, sort splitter samples).
 
+use crate::conform::CollExpect;
 use crate::{Backend, PlanInput};
 use amrio_amr::{BARYON_FIELDS, PARTICLE_ARRAYS};
-use amrio_check::conform::CollExpect;
 use amrio_check::CollKind;
 use amrio_enzo::TOP_GRID;
 use amrio_hdf5::OverheadModel;

@@ -1,8 +1,14 @@
-//! Planner unit tests, including the degenerate configurations: 1-rank
-//! worlds, zero-particle grids, decompositions wider than the grid, and
-//! the sequential HDF4 path.
+//! Planner unit tests, including the degenerate configurations:
+//! zero-particle grids, decompositions wider than the grid, and the
+//! sequential HDF4 path, plus hand-broken plans that exercise every
+//! exact-once failure kind. `tests/plan_conformance.rs` proves the
+//! typical, 1-rank, zero-particle and wide-decomposition plans with
+//! both exact-once and `amrio-verify`'s collective-lockstep walk.
 
-use crate::{plan, Backend, PlanInput, Writers};
+use crate::{
+    plan, verify_exact_once, AccessPlan, Backend, DatasetPlan, FilePlan, Kind, PlanInput,
+    RankRegions, Span, Writers,
+};
 use amrio_amr::{CellBox, GridMeta, Hierarchy};
 use amrio_enzo::{Platform, TOP_GRID};
 use amrio_hdf5::OverheadModel;
@@ -45,35 +51,15 @@ fn backends() -> [Backend; 3] {
 
 fn assert_clean(input: &PlanInput, backend: Backend) {
     let p = plan(input, backend);
-    let cov = crate::verify_exact_once(&p);
+    let cov = verify_exact_once(&p);
     assert!(
         cov.is_proven(),
         "{} coverage issues: {:#?}",
         p.backend,
-        cov.issues
+        cov.diagnostics
     );
-    let lock = crate::verify_lockstep(&p);
-    assert!(lock.is_empty(), "{} lockstep issues: {lock:#?}", p.backend);
     assert_eq!(p.write_schedule.len(), input.nranks);
     assert_eq!(p.read_schedule.len(), input.nranks);
-}
-
-#[test]
-fn typical_plan_is_proven_for_all_backends() {
-    let h = hierarchy(16, 120, &[(1, 4, 1, 10), (2, 8, 3, 0), (5, 2, 0, 3)]);
-    let inp = input(h, 4);
-    for b in backends() {
-        assert_clean(&inp, b);
-    }
-}
-
-#[test]
-fn single_rank_world_plans_are_proven() {
-    let h = hierarchy(8, 40, &[(1, 4, 0, 5)]);
-    let inp = input(h, 1);
-    for b in backends() {
-        assert_clean(&inp, b);
-    }
 }
 
 #[test]
@@ -189,4 +175,112 @@ fn metrics_are_sane() {
     assert_eq!(m4.aggregator_imbalance, 0.0);
     let mio = crate::layout_metrics(&inp, &plan(&inp, Backend::MpiIo));
     assert!(mio.aggregator_imbalance >= 1.0);
+}
+
+/// A one-file plan over the given datasets and metadata writes.
+fn broken(datasets: Vec<DatasetPlan>, meta_writes: Vec<(usize, u64, u64)>) -> AccessPlan {
+    AccessPlan {
+        backend: "test",
+        nranks: 2,
+        write_schedule: vec![Vec::new(), Vec::new()],
+        read_schedule: vec![Vec::new(), Vec::new()],
+        files: vec![FilePlan {
+            path: "f".into(),
+            datasets,
+            meta_writes,
+            reads: Vec::new(),
+        }],
+    }
+}
+
+/// Dataset `name` over `[start, start + len)` with per-rank regions.
+fn ds(name: &str, start: u64, len: u64, writers: &[(usize, &[(u64, u64)])]) -> DatasetPlan {
+    DatasetPlan {
+        name: name.into(),
+        start,
+        len,
+        collective: true,
+        writers: Writers::Ranks(
+            writers
+                .iter()
+                .map(|&(rank, regions)| RankRegions {
+                    rank,
+                    regions: regions.to_vec(),
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// The plan fails exact-once with exactly one diagnostic, of `kind`
+/// at `span`.
+fn assert_single(p: &AccessPlan, kind: Kind, span: Span) {
+    let cov = verify_exact_once(p);
+    assert_eq!(cov.diagnostics.len(), 1, "{:#?}", cov.diagnostics);
+    let d = &cov.diagnostics[0];
+    assert_eq!((d.kind, &d.span), (kind, &span), "{d}");
+    assert!(!cov.is_proven());
+}
+
+#[test]
+fn region_escaping_its_extent_is_flagged() {
+    // Rank 1's region runs 8 bytes past the end; the clipped regions
+    // still tile the extent, so the escape is the only finding.
+    let p = broken(
+        vec![ds("d", 100, 100, &[(0, &[(100, 50)]), (1, &[(150, 58)])])],
+        vec![],
+    );
+    let span = Span::new("test").file("f").dataset("d");
+    assert_single(
+        &p,
+        Kind::RegionEscapesExtent,
+        span.ranks(1, 1).bytes((150, 58)),
+    );
+}
+
+#[test]
+fn coverage_gap_is_flagged() {
+    let p = broken(
+        vec![ds("d", 0, 100, &[(0, &[(0, 40)]), (1, &[(60, 40)])])],
+        vec![],
+    );
+    let span = Span::new("test").file("f").dataset("d");
+    assert_single(&p, Kind::CoverageGap, span.bytes((40, 20)));
+}
+
+#[test]
+fn overlapping_writers_are_flagged() {
+    let p = broken(
+        vec![ds("d", 0, 100, &[(0, &[(0, 60)]), (1, &[(50, 50)])])],
+        vec![],
+    );
+    let span = Span::new("test").file("f").dataset("d");
+    assert_single(
+        &p,
+        Kind::OverlappingWriters,
+        span.ranks(0, 1).bytes((50, 10)),
+    );
+}
+
+#[test]
+fn overlapping_dataset_extents_are_flagged() {
+    let p = broken(
+        vec![
+            ds("a", 0, 100, &[(0, &[(0, 100)])]),
+            ds("b", 90, 50, &[(1, &[(90, 50)])]),
+        ],
+        vec![],
+    );
+    let span = Span::new("test").file("f").dataset("b");
+    assert_single(&p, Kind::DatasetOverlap, span.bytes((90, 10)));
+}
+
+#[test]
+fn metadata_write_on_payload_is_flagged() {
+    let p = broken(
+        vec![ds("d", 64, 100, &[(0, &[(64, 100)])])],
+        vec![(1, 0, 80)],
+    );
+    let span = Span::new("test").file("f").dataset("d");
+    assert_single(&p, Kind::MetaOnPayload, span.ranks(1, 1).bytes((0, 80)));
 }

@@ -1,16 +1,16 @@
-//! Static verification passes over an [`AccessPlan`]: exact-once
-//! dataset coverage and cross-rank collective lockstep. Both produce
-//! human-readable issue strings; an empty issue list is a proof that
-//! the property holds for the planned configuration.
+//! Exact-once dataset coverage over an [`AccessPlan`]. An empty
+//! diagnostic list is a proof that the property holds for the planned
+//! configuration. (Collective lockstep is proved by `amrio-verify`'s
+//! vector-clock walk.)
 
+use crate::diag::{Diagnostic, Kind, Span};
 use crate::{AccessPlan, Writers};
-use amrio_check::conform::normalize_regions;
 
 /// Outcome of the exact-once coverage pass.
 #[derive(Clone, Debug)]
 pub struct Verification {
     /// Violations found; empty = the property is proven.
-    pub issues: Vec<String>,
+    pub diagnostics: Vec<Diagnostic>,
     /// Datasets checked.
     pub datasets: usize,
     /// Total payload bytes proven covered exactly once.
@@ -19,67 +19,93 @@ pub struct Verification {
 
 impl Verification {
     pub fn is_proven(&self) -> bool {
-        self.issues.is_empty()
+        self.diagnostics.is_empty()
     }
 }
 
 /// Prove that every byte of every dataset is written by exactly one
-/// rank: the union of all writer regions equals the dataset extent
-/// (no gap) and their total length equals the extent length (no
-/// overlap, within or across ranks). Additionally: dataset extents are
-/// pairwise disjoint within a file, and no metadata write lands on a
-/// dataset payload.
+/// rank: every writer region lies inside the dataset extent, and the
+/// regions (clipped to the extent) tile it with no gap and no overlap,
+/// within or across ranks. Additionally: dataset extents are pairwise
+/// disjoint within a file, and no metadata write lands on a dataset
+/// payload. Each broken dataset reports its first gap and first
+/// overlap as the witness span.
 pub fn verify_exact_once(plan: &AccessPlan) -> Verification {
-    let mut issues = Vec::new();
+    let mut out = Vec::new();
     let mut datasets = 0usize;
     let mut covered = 0u64;
 
     for file in &plan.files {
+        let in_file = Span::new(plan.backend).file(&file.path);
         for ds in &file.datasets {
             datasets += 1;
+            // A contiguous block partition of the extent covers it
+            // exactly once by construction; only the data-dependent cut
+            // points are unknown.
+            let Writers::Ranks(ranks) = &ds.writers else {
+                covered += ds.len;
+                continue;
+            };
+            let span = in_file.clone().dataset(&ds.name);
+            let before = out.len();
             let end = ds.start + ds.len;
-            match &ds.writers {
-                Writers::Partition => {
-                    // A contiguous block partition of the extent covers
-                    // it exactly once by construction; only the
-                    // data-dependent cut points are unknown.
-                    covered += ds.len;
-                }
-                Writers::Ranks(ranks) => {
-                    let mut all = Vec::new();
-                    let mut sum = 0u64;
-                    for rr in ranks {
-                        for &(off, len) in &rr.regions {
-                            if off < ds.start || off + len > end {
-                                issues.push(format!(
-                                    "{}:{}: rank {} region ({off},{len}) escapes extent \
-                                     ({},{})",
-                                    file.path, ds.name, rr.rank, ds.start, ds.len
-                                ));
-                            }
-                            sum += len;
-                            all.push((off, len));
-                        }
-                    }
-                    normalize_regions(&mut all);
-                    let union: u64 = all.iter().map(|(_, l)| l).sum();
-                    if union < ds.len {
-                        issues.push(format!(
-                            "{}:{}: coverage gap — union {} of extent {} bytes",
-                            file.path, ds.name, union, ds.len
+            let mut regions = Vec::new();
+            for rr in ranks {
+                for &(off, len) in &rr.regions {
+                    if off < ds.start || off + len > end {
+                        out.push(Diagnostic::new(
+                            Kind::RegionEscapesExtent,
+                            span.clone().ranks(rr.rank, rr.rank).bytes((off, len)),
+                            format!(
+                                "rank {} region ({off},{len}) escapes extent ({},{})",
+                                rr.rank, ds.start, ds.len
+                            ),
                         ));
                     }
-                    if sum > union {
-                        issues.push(format!(
-                            "{}:{}: overlapping writers — {} bytes written into a {}-byte \
-                             union",
-                            file.path, ds.name, sum, union
-                        ));
-                    }
-                    if sum == ds.len && union == ds.len {
-                        covered += ds.len;
+                    let (lo, hi) = (off.max(ds.start), (off + len).min(end));
+                    if lo < hi {
+                        regions.push((lo, hi, rr.rank));
                     }
                 }
+            }
+            // Sweep the clipped regions in offset order against the
+            // covered frontier `reach` (and the rank that set it).
+            regions.sort_unstable();
+            let (mut gap, mut overlap) = (None, None);
+            let mut reach = (ds.start, usize::MAX);
+            for &(lo, hi, rank) in &regions {
+                if lo > reach.0 && gap.is_none() {
+                    gap = Some((reach.0, lo - reach.0));
+                }
+                if lo < reach.0 && overlap.is_none() {
+                    overlap = Some(((lo, hi.min(reach.0) - lo), reach.1, rank));
+                }
+                if hi > reach.0 {
+                    reach = (hi, rank);
+                }
+            }
+            if reach.0 < end && gap.is_none() {
+                gap = Some((reach.0, end - reach.0));
+            }
+            if let Some(g) = gap {
+                out.push(Diagnostic::new(
+                    Kind::CoverageGap,
+                    span.clone().bytes(g),
+                    format!(
+                        "bytes ({},{}) of extent ({},{}) have no writer",
+                        g.0, g.1, ds.start, ds.len
+                    ),
+                ));
+            }
+            if let Some((o, a, b)) = overlap {
+                out.push(Diagnostic::new(
+                    Kind::OverlappingWriters,
+                    span.clone().ranks(a, b).bytes(o),
+                    format!("ranks {a} and {b} both write bytes ({},{})", o.0, o.1),
+                ));
+            }
+            if out.len() == before {
+                covered += ds.len;
             }
         }
 
@@ -92,25 +118,34 @@ pub fn verify_exact_once(plan: &AccessPlan) -> Verification {
             .collect();
         extents.sort_unstable();
         for w in extents.windows(2) {
-            if w[0].0 + w[0].1 > w[1].0 {
-                issues.push(format!(
-                    "{}: datasets {} and {} overlap",
-                    file.path, w[0].2, w[1].2
+            let ((s0, l0, a), (s1, l1, b)) = (w[0], w[1]);
+            if s0 + l0 > s1 {
+                out.push(Diagnostic::new(
+                    Kind::DatasetOverlap,
+                    in_file
+                        .clone()
+                        .dataset(b)
+                        .bytes((s1, (s0 + l0).min(s1 + l1) - s1)),
+                    format!("datasets {a} and {b} overlap"),
                 ));
             }
         }
 
         // Metadata may be rewritten, but never on top of payload.
         for &(rank, off, len) in &file.meta_writes {
-            if len == 0 {
-                continue;
-            }
             for &(s, l, name) in &extents {
-                if off < s + l && off + len > s {
-                    issues.push(format!(
-                        "{}: rank {rank} metadata write ({off},{len}) overlaps dataset \
-                         {name} ({s},{l})",
-                        file.path
+                if len > 0 && off < s + l && off + len > s {
+                    out.push(Diagnostic::new(
+                        Kind::MetaOnPayload,
+                        in_file
+                            .clone()
+                            .dataset(name)
+                            .ranks(rank, rank)
+                            .bytes((off, len)),
+                        format!(
+                            "rank {rank} metadata write ({off},{len}) overlaps dataset {name} \
+                             ({s},{l})"
+                        ),
                     ));
                 }
             }
@@ -118,49 +153,8 @@ pub fn verify_exact_once(plan: &AccessPlan) -> Verification {
     }
 
     Verification {
-        issues,
+        diagnostics: out,
         datasets,
         covered_bytes: covered,
     }
-}
-
-/// Prove collective lockstep: every rank derives a schedule of the same
-/// length, and at each step all ranks agree on the collective kind,
-/// root, reduce operator, and — for uniform-payload collectives — the
-/// byte count. A clean result means no run of this configuration can
-/// mismatch collectives.
-pub fn verify_lockstep(plan: &AccessPlan) -> Vec<String> {
-    let mut issues = Vec::new();
-    for (phase, schedule) in [
-        ("write", &plan.write_schedule),
-        ("read", &plan.read_schedule),
-    ] {
-        let Some(r0) = schedule.first() else {
-            continue;
-        };
-        for (r, seq) in schedule.iter().enumerate().skip(1) {
-            if seq.len() != r0.len() {
-                issues.push(format!(
-                    "{phase}: rank {r} enters {} collectives, rank 0 enters {}",
-                    seq.len(),
-                    r0.len()
-                ));
-                continue;
-            }
-            for (i, (a, b)) in r0.iter().zip(seq).enumerate() {
-                if a.kind != b.kind || a.root != b.root || a.op != b.op || a.uniform != b.uniform {
-                    issues.push(format!(
-                        "{phase} step {i}: rank 0 enters {a}, rank {r} enters {b}"
-                    ));
-                } else if a.uniform && a.bytes != b.bytes {
-                    issues.push(format!(
-                        "{phase} step {i}: uniform byte count differs — rank 0 {:?}, \
-                         rank {r} {:?} ({})",
-                        a.bytes, b.bytes, a.label
-                    ));
-                }
-            }
-        }
-    }
-    issues
 }

@@ -5,13 +5,19 @@
 //! questions *before anything runs*:
 //!
 //! 1. **Is the plan hazardous?** [`lint`] walks the plan and emits
-//!    typed, severity-ranked [`Diagnostic`]s with machine-readable
-//!    [`Span`]s: small-write frequency hazards, lock-block straddles,
-//!    aggregator imbalance, sieving read-modify-write hazards, and
-//!    collective-lockstep divergence. [`lint_faults`] checks a fault
-//!    plan and retry policy against the plan (faults targeting servers
-//!    the plan never touches, failures without failover, transient
-//!    budgets the retry policy cannot absorb).
+//!    `amrio-plan`'s typed, severity-ranked [`Diagnostic`]s with
+//!    machine-readable [`Span`]s. It owns the performance lints —
+//!    small-write frequency hazards, lock-block straddles, aggregator
+//!    imbalance — and takes every correctness finding from
+//!    `amrio-verify`'s own rules: the vector-clock lockstep proof
+//!    (rank divergence, schedule deadlock) and the race classifier
+//!    under the input's hints (write-write, unsynced reads, data-sieving
+//!    read-modify-write). [`lint_faults`] checks a fault plan and retry
+//!    policy against the plan: it owns the configuration-sanity lints
+//!    (faults targeting servers or ranks outside the run, or servers
+//!    the plan never touches) and takes `amrio-verify`'s fault folding
+//!    (failures without failover, transient budgets the retry policy
+//!    cannot absorb) and crash-before-first-commit floor.
 //!
 //! 2. **What hints should this run use?** [`predict`] prices a plan on
 //!    replicas of the platform's disk/network models under a candidate
@@ -30,12 +36,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub mod diag;
 pub mod lint;
 pub mod search;
 
+pub use amrio_plan::{sort_diagnostics, Diagnostic, Kind, Severity, Span};
 pub use cost::{predict, predict_traced, PredictedCost, TuneConfig};
-pub use diag::{sort_diagnostics, Diagnostic, Severity, Span};
 pub use lint::{lint, lint_faults};
 pub use search::{
     candidate_space, search, search_verified, Candidate, PrunedCandidate, TuneOutcome,
@@ -128,7 +133,10 @@ mod tests {
         };
         let inp = input(2);
         let diags = lint(&inp, &plan_with(vec![ds], 2));
-        assert!(diags.iter().any(|d| d.code == "small-writes"), "{diags:?}");
+        assert!(
+            diags.iter().any(|d| d.kind == Kind::SmallWrites),
+            "{diags:?}"
+        );
     }
 
     #[test]
@@ -148,7 +156,7 @@ mod tests {
         let diags = lint(&inp, &plan_with(vec![ds.clone()], 2));
         let hit = diags
             .iter()
-            .find(|d| d.code == "sieve-rmw")
+            .find(|d| d.kind == Kind::SievingRmw)
             .expect("finding");
         assert_eq!(hit.severity, Severity::Error);
         assert_eq!(hit.span.ranks, Some((0, 1)));
@@ -157,7 +165,7 @@ mod tests {
         let inp = input(2);
         assert!(lint(&inp, &plan_with(vec![ds], 2))
             .iter()
-            .all(|d| d.code != "sieve-rmw"));
+            .all(|d| d.kind != Kind::SievingRmw));
     }
 
     #[test]
@@ -178,7 +186,7 @@ mod tests {
         let faults = FaultPlan::new().with_server_slowdown(9, window_secs(0.0, 1.0), 2.0);
         let diags = lint_faults(&plan, &fs, &faults, &RetryPolicy::default());
         assert!(
-            diags.iter().any(|d| d.code == "fault-bad-server"),
+            diags.iter().any(|d| d.kind == Kind::FaultBadServer),
             "{diags:?}"
         );
 
@@ -187,11 +195,13 @@ mod tests {
             failover: false,
             ..RetryPolicy::default()
         };
+        // Unprovable rather than refuted: the failed server may be one
+        // the plan never touches (that case is `fault-untouched-server`).
         let diags = lint_faults(&plan, &fs, &failing, &retry);
         assert!(
             diags
                 .iter()
-                .any(|d| d.code == "fault-no-failover" && d.severity == Severity::Error),
+                .any(|d| d.kind == Kind::FailoverStripped && d.severity == Severity::Warning),
             "{diags:?}"
         );
     }
@@ -214,7 +224,7 @@ mod tests {
         let diags = lint_faults(&plan, &fs, &early, &RetryPolicy::default());
         let hit = diags
             .iter()
-            .find(|d| d.code == "crash-before-commit")
+            .find(|d| d.kind == Kind::CrashBeforeFirstCommit)
             .expect("early crash must be flagged");
         assert_eq!(hit.severity, Severity::Warning);
 
@@ -223,44 +233,35 @@ mod tests {
         let late = FaultPlan::new().with_crash(SimTime(u64::MAX));
         assert!(lint_faults(&plan, &fs, &late, &RetryPolicy::default())
             .iter()
-            .all(|d| d.code != "crash-before-commit"));
+            .all(|d| d.kind != Kind::CrashBeforeFirstCommit));
         assert!(
             lint_faults(&plan, &fs, &FaultPlan::new(), &RetryPolicy::default())
                 .iter()
-                .all(|d| d.code != "crash-before-commit")
+                .all(|d| d.kind != Kind::CrashBeforeFirstCommit)
         );
     }
 
     #[test]
     fn diagnostics_sort_worst_first_and_render() {
         let mut ds = vec![
-            Diagnostic {
-                code: "b-info",
-                severity: Severity::Info,
-                message: "m".into(),
-                suggestion: "s".into(),
-                span: Span::default(),
-            },
-            Diagnostic {
-                code: "a-error",
-                severity: Severity::Error,
-                message: "m".into(),
-                suggestion: "s".into(),
-                span: Span {
-                    backend: "MPI-IO".into(),
-                    dataset: Some("d".into()),
-                    ranks: Some((0, 3)),
-                    bytes: Some((64, 1024)),
-                    ..Span::default()
-                },
-            },
+            Diagnostic::new(Kind::SmallWrites, Span::default(), "m").suggest("s"),
+            Diagnostic::new(
+                Kind::SievingRmw,
+                Span::new("MPI-IO")
+                    .dataset("d")
+                    .ranks(3, 0)
+                    .bytes((64, 1024)),
+                "m",
+            )
+            .suggest("s"),
         ];
         sort_diagnostics(&mut ds);
-        assert_eq!(ds[0].code, "a-error");
+        assert_eq!(ds[0].kind, Kind::SievingRmw);
         let line = format!("{}", ds[0]);
-        assert!(line.contains("error[a-error]"), "{line}");
+        assert!(line.contains("error[sieving-rmw]"), "{line}");
         assert!(line.contains("ranks[0..=3]"), "{line}");
         assert!(line.contains("bytes[64+1024]"), "{line}");
+        assert!(line.ends_with("— fix: s"), "{line}");
     }
 
     #[test]
@@ -336,9 +337,7 @@ mod tests {
             .find(|p| p.cfg.label == "indw+ds")
             .expect("indw+ds must be pruned");
         assert!(
-            sieved
-                .kinds
-                .contains(&amrio_verify::ViolationKind::SievingRmw),
+            sieved.kinds.contains(&Kind::SievingRmw),
             "{:?}",
             sieved.kinds
         );

@@ -2,13 +2,21 @@
 //!
 //! Each rule inspects only the statically derived plan (plus, for the
 //! fault rules, the platform and fault configuration) — nothing runs.
-//! Codes are stable strings; the CI gate requires zero
-//! [`Severity::Error`] findings on shipped presets.
+//! This module owns only the performance and configuration-sanity
+//! lints; every happens-before, fault and crash-floor finding comes
+//! from `amrio-verify`'s own rules, so the lint and the verifier can
+//! never disagree. The CI gate requires zero [`Severity::Error`]
+//! findings on shipped presets.
+//!
+//! [`Severity::Error`]: amrio_plan::Severity::Error
 
-use crate::diag::{sort_diagnostics, Diagnostic, Severity, Span};
 use amrio_disk::{FaultPlan, FsConfig, Placement, RetryPolicy};
 use amrio_mpiio::collective::file_domains;
-use amrio_plan::{verify_lockstep, AccessPlan, DatasetPlan, FilePlan, PlanInput, Writers};
+use amrio_plan::{
+    sort_diagnostics, AccessPlan, DatasetPlan, Diagnostic, FilePlan, Kind, PlanInput, Span, Writers,
+};
+use amrio_verify::accesses::partition_split;
+use amrio_verify::{clock, commit, faults, races};
 
 /// Payload writes smaller than this count as "small" for the
 /// small-write frequency hazard (paper §2.3: ENZO's unoptimized dumps
@@ -19,138 +27,82 @@ pub const SMALL_WRITE: u64 = 4096;
 /// tiny header/metadata writes is not a hazard.
 const MIN_REGIONS: u64 = 8;
 
-/// Lint a plan against its input. Returns findings sorted worst-first.
+/// Lint a plan against its input: the performance lints, plus
+/// `amrio-verify`'s lockstep and race refutations under the input's
+/// hints. Returns findings sorted worst-first.
 pub fn lint(input: &PlanInput, plan: &AccessPlan) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &plan.files {
-        small_writes(plan, file, &mut out);
-        stripe_straddles(input, plan, file, &mut out);
+        let span = Span::new(plan.backend).file(&file.path);
+        small_writes(plan, file, &span, &mut out);
+        stripe_straddles(input, plan, file, &span, &mut out);
         for ds in &file.datasets {
-            aggregator_imbalance(input, plan, file, ds, &mut out);
-            sieving_rmw(input, plan, file, ds, &mut out);
+            aggregator_imbalance(input, plan, ds, &span, &mut out);
         }
     }
-    lockstep(plan, &mut out);
+    let sched = clock::analyze(plan);
+    out.extend(races::classify(plan, &input.hints, &sched).diagnostics);
+    out.extend(sched.diagnostics);
     sort_diagnostics(&mut out);
     out
 }
 
 /// Lint a fault plan and retry policy against the access plan: faults
-/// that target hardware the plan never touches, failures with no
-/// failover, transient budgets the retry policy cannot absorb.
+/// that target hardware the plan never touches, plus `amrio-verify`'s
+/// fault folding (failures with no failover, transient budgets the
+/// retry policy cannot absorb) and its crash-before-first-commit floor.
 pub fn lint_faults(
     plan: &AccessPlan,
     fs: &FsConfig,
     faults: &FaultPlan,
     retry: &RetryPolicy,
 ) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+    let mut out = faults::fold(plan.backend, faults, retry);
+    out.extend(commit::crash_floor(plan, fs, faults));
     let touched = touched_servers(plan, fs);
-    let span = || Span {
-        backend: plan.backend.to_string(),
-        ..Span::default()
-    };
+    let span = Span::new(plan.backend);
 
     for s in faults.server_targets() {
         if s >= fs.nservers {
-            out.push(Diagnostic {
-                code: "fault-bad-server",
-                severity: Severity::Error,
-                message: format!(
-                    "fault plan targets server {s} but platform '{}' has only {} servers",
-                    fs.label, fs.nservers
-                ),
-                suggestion: format!("target a server in 0..{}", fs.nservers),
-                span: span(),
-            });
+            out.push(
+                Diagnostic::new(
+                    Kind::FaultBadServer,
+                    span.clone(),
+                    format!(
+                        "fault plan targets server {s} but platform '{}' has only {} servers",
+                        fs.label, fs.nservers
+                    ),
+                )
+                .suggest(format!("target a server in 0..{}", fs.nservers)),
+            );
         } else if !touched.contains(&s) {
-            out.push(Diagnostic {
-                code: "fault-untouched-server",
-                severity: Severity::Error,
-                message: format!(
-                    "fault plan targets server {s}, which the access plan never touches \
-                     (placement routes no bytes there)"
-                ),
-                suggestion: format!("retarget one of the touched servers {touched:?}"),
-                span: span(),
-            });
-        }
-    }
-
-    if !faults.failure_servers().is_empty() && !retry.failover {
-        out.push(Diagnostic {
-            code: "fault-no-failover",
-            severity: Severity::Error,
-            message: format!(
-                "permanent server failure scheduled on {:?} but the retry policy \
-                 has failover disabled — the run cannot complete",
-                faults.failure_servers()
-            ),
-            suggestion: "enable RetryPolicy::failover or drop the failure".into(),
-            span: span(),
-        });
-    }
-
-    for s in faults.server_targets() {
-        let budget = faults.transient_budget(s);
-        if budget > retry.max_retries as u64 {
-            out.push(Diagnostic {
-                code: "fault-retry-budget",
-                severity: Severity::Warning,
-                message: format!(
-                    "server {s} may return up to {budget} transient errors per op but the \
-                     retry policy allows only {} retries",
-                    retry.max_retries
-                ),
-                suggestion: "raise RetryPolicy::max_retries above the transient budget".into(),
-                span: span(),
-            });
-        }
-    }
-
-    if let Some(tc) = faults.crash_at() {
-        // A hard lower bound on the first checkpoint commit: every
-        // payload byte of the plan must cross the aggregate disk
-        // bandwidth, and the commit manifest only lands after the data.
-        // A crash armed earlier than that can never find a committed
-        // generation — recovery is guaranteed to restart from scratch,
-        // re-running the whole job.
-        let bytes: u64 = plan
-            .files
-            .iter()
-            .flat_map(|f| write_regions(f, plan.nranks))
-            .map(|(_, _, l)| l)
-            .sum();
-        let floor_s = bytes as f64 / (fs.disk.bandwidth * fs.nservers as f64);
-        let crash_s = tc.0 as f64 / 1.0e9;
-        if crash_s < floor_s {
-            out.push(Diagnostic {
-                code: "crash-before-commit",
-                severity: Severity::Warning,
-                message: format!(
-                    "crash armed at {crash_s:.3}s virtual, but the plan's {bytes} payload \
-                     bytes need at least {floor_s:.3}s of aggregate disk time — no \
-                     checkpoint generation can commit first, so recovery will restart \
-                     from scratch"
-                ),
-                suggestion: "arm the crash after the first dump window, or dump more often".into(),
-                span: span(),
-            });
+            out.push(
+                Diagnostic::new(
+                    Kind::FaultUntouchedServer,
+                    span.clone(),
+                    format!(
+                        "fault plan targets server {s}, which the access plan never touches \
+                         (placement routes no bytes there)"
+                    ),
+                )
+                .suggest(format!("retarget one of the touched servers {touched:?}")),
+            );
         }
     }
 
     for r in faults.straggler_ranks() {
         if r >= plan.nranks {
-            out.push(Diagnostic {
-                code: "fault-bad-rank",
-                severity: Severity::Error,
-                message: format!(
-                    "straggler injection names rank {r} but the plan runs {} ranks",
-                    plan.nranks
-                ),
-                suggestion: format!("use a rank in 0..{}", plan.nranks),
-                span: span(),
-            });
+            out.push(
+                Diagnostic::new(
+                    Kind::FaultBadRank,
+                    span.clone(),
+                    format!(
+                        "straggler injection names rank {r} but the plan runs {} ranks",
+                        plan.nranks
+                    ),
+                )
+                .suggest(format!("use a rank in 0..{}", plan.nranks)),
+            );
         }
     }
 
@@ -159,9 +111,9 @@ pub fn lint_faults(
 }
 
 /// Every payload write region of a file as `(rank, offset, len)`.
-/// Partition datasets contribute their even static split — the real cut
-/// points are data-dependent, but the region *count* and rough sizes
-/// are what the frequency lints care about.
+/// Partition datasets contribute `amrio-verify`'s canonical even split
+/// — the real cut points are data-dependent, but the region *count*
+/// and rough sizes are what the frequency lints care about.
 fn write_regions(file: &FilePlan, nranks: usize) -> Vec<(usize, u64, u64)> {
     let mut out = Vec::new();
     for ds in &file.datasets {
@@ -173,45 +125,31 @@ fn write_regions(file: &FilePlan, nranks: usize) -> Vec<(usize, u64, u64)> {
                     }
                 }
             }
-            Writers::Partition => {
-                let p = nranks as u64;
-                let chunk = ds.len / p;
-                let rem = ds.len % p;
-                let mut cur = ds.start;
-                for r in 0..nranks {
-                    let l = chunk + u64::from((r as u64) < rem);
-                    if l > 0 {
-                        out.push((r, cur, l));
-                        cur += l;
-                    }
-                }
-            }
+            Writers::Partition => out.extend(partition_split(ds.start, ds.len, nranks)),
         }
     }
     out
 }
 
-fn small_writes(plan: &AccessPlan, file: &FilePlan, out: &mut Vec<Diagnostic>) {
+fn small_writes(plan: &AccessPlan, file: &FilePlan, span: &Span, out: &mut Vec<Diagnostic>) {
     let regions = write_regions(file, plan.nranks);
     let total = regions.len() as u64;
     let small = regions.iter().filter(|&&(_, _, l)| l < SMALL_WRITE).count() as u64;
     if total >= MIN_REGIONS && small * 2 > total {
-        out.push(Diagnostic {
-            code: "small-writes",
-            severity: Severity::Warning,
-            message: format!(
-                "{small} of {total} payload writes are under {SMALL_WRITE} B — \
-                 per-request overhead will dominate the transfer time"
+        out.push(
+            Diagnostic::new(
+                Kind::SmallWrites,
+                span.clone(),
+                format!(
+                    "{small} of {total} payload writes are under {SMALL_WRITE} B — \
+                     per-request overhead will dominate the transfer time"
+                ),
+            )
+            .suggest(
+                "gather adjacent arrays into one request per grid, or enable write-behind \
+                 staging to coalesce them",
             ),
-            suggestion: "gather adjacent arrays into one request per grid, or enable \
-                         write-behind staging to coalesce them"
-                .into(),
-            span: Span {
-                backend: plan.backend.to_string(),
-                file: Some(file.path.clone()),
-                ..Span::default()
-            },
-        });
+        );
     }
 }
 
@@ -219,6 +157,7 @@ fn stripe_straddles(
     input: &PlanInput,
     plan: &AccessPlan,
     file: &FilePlan,
+    span: &Span,
     out: &mut Vec<Diagnostic>,
 ) {
     // Lock granularity: explicit lock blocks when the platform has them,
@@ -231,30 +170,28 @@ fn stripe_straddles(
         .filter(|&&(_, o, l)| l > 0 && o / block != (o + l - 1) / block)
         .count() as u64;
     if total >= MIN_REGIONS && straddling * 4 > total {
-        out.push(Diagnostic {
-            code: "stripe-straddle",
-            severity: Severity::Warning,
-            message: format!(
-                "{straddling} of {total} writes straddle a {block}-byte lock block \
-                 boundary — each one serializes on shared lock tokens"
+        out.push(
+            Diagnostic::new(
+                Kind::StripeStraddle,
+                span.clone(),
+                format!(
+                    "{straddling} of {total} writes straddle a {block}-byte lock block \
+                     boundary — each one serializes on shared lock tokens"
+                ),
+            )
+            .suggest(
+                "install an application stripe matched to the aggregator file domains \
+                 (Advisory::app_stripe), or align file domains",
             ),
-            suggestion: "install an application stripe matched to the aggregator file \
-                         domains (Advisory::app_stripe), or align file domains"
-                .into(),
-            span: Span {
-                backend: plan.backend.to_string(),
-                file: Some(file.path.clone()),
-                ..Span::default()
-            },
-        });
+        );
     }
 }
 
 fn aggregator_imbalance(
     input: &PlanInput,
     plan: &AccessPlan,
-    file: &FilePlan,
     ds: &DatasetPlan,
+    span: &Span,
     out: &mut Vec<Diagnostic>,
 ) {
     if !ds.collective || ds.len == 0 {
@@ -279,93 +216,19 @@ fn aggregator_imbalance(
     // aggregator carries > 1.5x its fair share (alignment rounding on
     // small extents strands aggregators with empty domains).
     if max * naggs as u64 * 2 > ds.len * 3 {
-        out.push(Diagnostic {
-            code: "agg-imbalance",
-            severity: Severity::Warning,
-            message: format!(
-                "busiest of {naggs} aggregators carries {max} B of a {} B extent \
-                 (fair share {}) — two-phase exchange waits on it",
-                ds.len,
-                ds.len / naggs as u64
-            ),
-            suggestion: "reduce cb_nodes or disable file-domain alignment for small \
-                         extents"
-                .into(),
-            span: Span {
-                backend: plan.backend.to_string(),
-                file: Some(file.path.clone()),
-                dataset: Some(ds.name.clone()),
-                bytes: Some((ds.start, ds.len)),
-                ..Span::default()
-            },
-        });
-    }
-}
-
-fn sieving_rmw(
-    input: &PlanInput,
-    plan: &AccessPlan,
-    file: &FilePlan,
-    ds: &DatasetPlan,
-    out: &mut Vec<Diagnostic>,
-) {
-    // Data-sieving *writes* read-modify-write whole windows. When several
-    // ranks hold interleaved regions of the same dataset and write them
-    // independently (non-collective, or collectives disabled), their RMW
-    // windows overlap other ranks' live bytes: correct only under heavy
-    // locking, corrupting without it. Either way it is a plan smell.
-    if !input.hints.ds_write {
-        return;
-    }
-    let independent = !ds.collective || !input.hints.cb_write;
-    if !independent {
-        return;
-    }
-    let Writers::Ranks(rs) = &ds.writers else {
-        return;
-    };
-    let multi: Vec<&amrio_plan::RankRegions> =
-        rs.iter().filter(|rr| rr.regions.len() >= 2).collect();
-    if rs.len() < 2 || multi.is_empty() {
-        return;
-    }
-    let lo = multi.iter().map(|rr| rr.rank).min().unwrap_or(0);
-    let hi = multi.iter().map(|rr| rr.rank).max().unwrap_or(0);
-    out.push(Diagnostic {
-        code: "sieve-rmw",
-        severity: Severity::Error,
-        message: format!(
-            "data-sieving writes enabled while {} ranks write interleaved regions \
-             independently — read-modify-write windows cover other ranks' bytes",
-            rs.len()
-        ),
-        suggestion: "disable ds_write, or route this dataset through collective \
-                     two-phase I/O (cb_write)"
-            .into(),
-        span: Span {
-            backend: plan.backend.to_string(),
-            file: Some(file.path.clone()),
-            dataset: Some(ds.name.clone()),
-            ranks: Some((lo, hi)),
-            bytes: Some((ds.start, ds.len)),
-        },
-    });
-}
-
-fn lockstep(plan: &AccessPlan, out: &mut Vec<Diagnostic>) {
-    for issue in verify_lockstep(plan) {
-        out.push(Diagnostic {
-            code: "collective-lockstep",
-            severity: Severity::Error,
-            message: format!("collective schedules diverge across ranks: {issue}"),
-            suggestion: "every rank must issue the same collective sequence; make the \
-                         divergent call unconditional or independent"
-                .into(),
-            span: Span {
-                backend: plan.backend.to_string(),
-                ..Span::default()
-            },
-        });
+        out.push(
+            Diagnostic::new(
+                Kind::AggImbalance,
+                span.clone().dataset(&ds.name).bytes(ds.extent()),
+                format!(
+                    "busiest of {naggs} aggregators carries {max} B of a {} B extent \
+                     (fair share {}) — two-phase exchange waits on it",
+                    ds.len,
+                    ds.len / naggs as u64
+                ),
+            )
+            .suggest("reduce cb_nodes or disable file-domain alignment for small extents"),
+        );
     }
 }
 

@@ -12,8 +12,8 @@ use crate::cost::{predict, PredictedCost, TuneConfig};
 use amrio_disk::FsConfig;
 use amrio_mpiio::Hints;
 use amrio_net::NetConfig;
-use amrio_plan::AccessPlan;
-use amrio_verify::{verify, Verdict, VerifyInput, ViolationKind};
+use amrio_plan::{AccessPlan, Kind};
+use amrio_verify::{verify, Verdict, VerifyInput};
 
 /// One priced candidate.
 #[derive(Clone, Debug)]
@@ -160,9 +160,9 @@ pub fn search(plan: &AccessPlan, fs: &FsConfig, net: &NetConfig) -> TuneOutcome 
 #[derive(Clone, Debug)]
 pub struct PrunedCandidate {
     pub cfg: TuneConfig,
-    /// The violation kinds that refuted it (e.g. `SievingRmw` for data
+    /// The finding kinds that refuted it (e.g. `SievingRmw` for data
     /// sieving over interleaved independent writers).
-    pub kinds: Vec<ViolationKind>,
+    pub kinds: Vec<Kind>,
 }
 
 /// Result of [`search_verified`]: the ranked verified candidates plus

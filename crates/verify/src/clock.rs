@@ -10,11 +10,11 @@
 //! The walk proves **lockstep** (all ranks agree on kind/root/op and,
 //! for uniform steps, payload bytes at every position) or refutes it:
 //!
-//! * a positional disagreement is a [`StaticViolation::RankDivergence`]
-//!   — at runtime the checker reports a `Collective*Mismatch` for that
+//! * a positional disagreement is a [`Kind::RankDivergence`] — at
+//!   runtime the checker reports a `Collective*Mismatch` for that
 //!   epoch;
 //! * a rank whose schedule ends while others still have steps is a
-//!   [`StaticViolation::ScheduleDeadlock`] — the surviving ranks block
+//!   [`Kind::ScheduleDeadlock`] — the surviving ranks block
 //!   forever in their next collective, which the runtime checker
 //!   reports as `CollectiveIncomplete`. With purely global collectives
 //!   the schedule wait-for graph cannot form a proper cycle (a blocked
@@ -32,11 +32,13 @@
 //! — so an ordering "proved" through a non-barrier collective would be
 //! a false negative against the oracle, and is deliberately not
 //! claimed.
+//!
+//! This walk is the workspace's only lockstep proof: `amrio-tune`'s
+//! lint and the plan↔trace tests call [`analyze`] too.
 
-use crate::StaticViolation;
-use amrio_check::conform::CollExpect;
 use amrio_check::CollKind;
-use amrio_plan::AccessPlan;
+use amrio_plan::conform::CollExpect;
+use amrio_plan::{AccessPlan, Diagnostic, Kind, Span};
 
 /// A classic vector clock: one logical-time component per rank.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +71,8 @@ impl VectorClock {
 /// The outcome of walking both phases' schedules.
 #[derive(Clone, Debug)]
 pub struct ScheduleAnalysis {
-    pub violations: Vec<StaticViolation>,
+    /// `RankDivergence` / `ScheduleDeadlock` refutations.
+    pub diagnostics: Vec<Diagnostic>,
     /// Proven: every write-phase I/O happens-before every read-phase
     /// I/O (the write phase ends in a barrier all ranks reach, and the
     /// post-barrier clocks dominate the pre-barrier ones).
@@ -80,17 +83,18 @@ pub struct ScheduleAnalysis {
     pub barriers: (usize, usize),
 }
 
-fn describe(e: &CollExpect) -> String {
-    format!("{e}")
-}
+const LOCKSTEP_FIX: &str = "every rank must issue the same collective sequence; make the \
+                            divergent call unconditional or independent";
 
-/// Walk one phase. Returns (violations, barrier count, clean) where
-/// `clean` means every rank executed every step in lockstep.
+/// Walk one phase, reporting refutations against `span`. Returns
+/// (steps walked, barrier count, clean) where `clean` means every rank
+/// executed every step in lockstep.
 fn walk_phase(
+    span: &Span,
     phase: &'static str,
     schedule: &[Vec<CollExpect>],
     clocks: &mut [VectorClock],
-    violations: &mut Vec<StaticViolation>,
+    out: &mut Vec<Diagnostic>,
 ) -> (usize, usize, bool) {
     let nranks = schedule.len();
     let max_steps = schedule.iter().map(|s| s.len()).max().unwrap_or(0);
@@ -102,12 +106,18 @@ fn walk_phase(
             // Some ranks never enter this collective: the others block
             // forever. Nothing after this point executes on any rank.
             let blocked: Vec<usize> = (0..nranks).filter(|&r| schedule[r].len() > step).collect();
-            violations.push(StaticViolation::ScheduleDeadlock {
-                phase,
-                step,
-                blocked,
-                exhausted,
-            });
+            out.push(
+                Diagnostic::new(
+                    Kind::ScheduleDeadlock,
+                    span.clone()
+                        .ranks(exhausted[0], exhausted[exhausted.len() - 1]),
+                    format!(
+                        "{phase} step {step}: ranks {blocked:?} block forever (ranks \
+                         {exhausted:?} never arrive)"
+                    ),
+                )
+                .suggest(LOCKSTEP_FIX),
+            );
             return (step, barriers, false);
         }
         // Positional cross-check against rank 0, mirroring the runtime
@@ -123,13 +133,14 @@ fn walk_phase(
                 || (e.uniform && lead.uniform && e.bytes.unwrap_or(0) != lead.bytes.unwrap_or(0));
             if diverged {
                 clean = false;
-                violations.push(StaticViolation::RankDivergence {
-                    phase,
-                    step,
-                    rank: r,
-                    expected: describe(lead),
-                    got: describe(e),
-                });
+                out.push(
+                    Diagnostic::new(
+                        Kind::RankDivergence,
+                        span.clone().ranks(r, r),
+                        format!("{phase} step {step}: rank {r} enters {e}, rank 0 enters {lead}"),
+                    )
+                    .suggest(LOCKSTEP_FIX),
+                );
             }
             if e.kind != CollKind::Barrier {
                 all_barrier = false;
@@ -159,7 +170,8 @@ fn walk_phase(
 /// happen-before restart reads.
 pub fn analyze(plan: &AccessPlan) -> ScheduleAnalysis {
     let nranks = plan.nranks;
-    let mut violations = Vec::new();
+    let span = Span::new(plan.backend);
+    let mut diagnostics = Vec::new();
     let mut clocks: Vec<VectorClock> = (0..nranks).map(|_| VectorClock::new(nranks)).collect();
 
     // Snapshot the clocks each rank's data writes carry: the I/O of the
@@ -182,15 +194,25 @@ pub fn analyze(plan: &AccessPlan) -> ScheduleAnalysis {
             .map(|s| s[..s.len().min(wlen.saturating_sub(1))].to_vec())
             .collect();
         let mut scratch = Vec::new();
-        walk_phase("write", &trimmed, &mut pre_clocks, &mut scratch);
+        walk_phase(&span, "write", &trimmed, &mut pre_clocks, &mut scratch);
     }
 
-    let (wsteps, wbarriers, wclean) =
-        walk_phase("write", &plan.write_schedule, &mut clocks, &mut violations);
+    let (wsteps, wbarriers, wclean) = walk_phase(
+        &span,
+        "write",
+        &plan.write_schedule,
+        &mut clocks,
+        &mut diagnostics,
+    );
     // Clocks after the write phase = clocks at read start.
     let read_start = clocks.clone();
-    let (rsteps, rbarriers, _rclean) =
-        walk_phase("read", &plan.read_schedule, &mut clocks, &mut violations);
+    let (rsteps, rbarriers, _rclean) = walk_phase(
+        &span,
+        "read",
+        &plan.read_schedule,
+        &mut clocks,
+        &mut diagnostics,
+    );
 
     // Ordering proof: the final write step must be a barrier present in
     // every rank's schedule (the checker's sync edge), the phase must
@@ -215,7 +237,7 @@ pub fn analyze(plan: &AccessPlan) -> ScheduleAnalysis {
     let write_read_ordered = wclean && trailing_barrier && dominated;
 
     ScheduleAnalysis {
-        violations,
+        diagnostics,
         write_read_ordered,
         steps: (wsteps, rsteps),
         barriers: (wbarriers, rbarriers),
@@ -280,7 +302,7 @@ mod tests {
             vec![allreduce(), barrier()],
         ]);
         let a = analyze(&plan);
-        assert!(a.violations.is_empty());
+        assert!(a.diagnostics.is_empty());
         assert!(a.write_read_ordered);
         assert_eq!(a.barriers.0, 1);
     }
@@ -289,7 +311,7 @@ mod tests {
     fn missing_trailing_barrier_breaks_ordering_without_violation() {
         let plan = mini_plan(vec![vec![allreduce()], vec![allreduce()]]);
         let a = analyze(&plan);
-        assert!(a.violations.is_empty());
+        assert!(a.diagnostics.is_empty());
         assert!(
             !a.write_read_ordered,
             "allreduce is not a checker sync edge"
@@ -300,10 +322,10 @@ mod tests {
     fn short_schedule_is_deadlock() {
         let plan = mini_plan(vec![vec![allreduce(), barrier()], vec![allreduce()]]);
         let a = analyze(&plan);
-        assert!(matches!(
-            a.violations[0],
-            StaticViolation::ScheduleDeadlock { step: 1, .. }
-        ));
+        let d = &a.diagnostics[0];
+        assert_eq!(d.kind, Kind::ScheduleDeadlock);
+        assert_eq!(d.span.ranks, Some((1, 1)), "rank 1 never arrives");
+        assert!(d.message.starts_with("write step 1:"), "{d}");
         assert!(!a.write_read_ordered);
     }
 
@@ -314,13 +336,9 @@ mod tests {
             vec![allreduce(), barrier()],
         ]);
         let a = analyze(&plan);
-        assert!(matches!(
-            a.violations[0],
-            StaticViolation::RankDivergence {
-                step: 0,
-                rank: 1,
-                ..
-            }
-        ));
+        let d = &a.diagnostics[0];
+        assert_eq!(d.kind, Kind::RankDivergence);
+        assert_eq!(d.span.ranks, Some((1, 1)));
+        assert!(d.message.starts_with("write step 0:"), "{d}");
     }
 }

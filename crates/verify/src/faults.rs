@@ -7,35 +7,50 @@
 //! armed to inject. Those downgrades are *typed unknowns*, never
 //! violations: the run may well succeed (transient budgets spread over
 //! many ops, failures may strike servers the plan never touches after
-//! failover), but the static model cannot prove it.
+//! failover), but the static model cannot prove it. `amrio-tune`'s
+//! `lint_faults` reports the same findings by calling [`fold`].
 
-use crate::UnknownReason;
 use amrio_fault::{FaultPlan, RetryPolicy};
+use amrio_plan::{Diagnostic, Kind, Span};
 
-/// Compute the verdict downgrades `faults` forces under `retry`.
-pub fn fold(faults: Option<&FaultPlan>, retry: &RetryPolicy) -> Vec<UnknownReason> {
+/// Compute the verdict downgrades `faults` forces under `retry`, as
+/// `Warning` diagnostics against the plan of strategy `backend`.
+pub fn fold(backend: &str, faults: &FaultPlan, retry: &RetryPolicy) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let Some(plan) = faults else {
-        return out;
-    };
 
     // A permanent server failure with failover disabled: every op that
     // maps a piece onto the dead server fails all its retries.
-    let failed = plan.failure_servers();
+    let failed = faults.failure_servers();
     if !failed.is_empty() && !retry.failover {
-        out.push(UnknownReason::FailoverStripped { servers: failed });
+        out.push(
+            Diagnostic::new(
+                Kind::FailoverStripped,
+                Span::new(backend),
+                format!(
+                    "unprovable: server(s) {failed:?} fail permanently and failover is disabled"
+                ),
+            )
+            .suggest("enable RetryPolicy::failover or drop the failure"),
+        );
     }
 
     // A transient budget exceeding the per-op retry budget: one op can
     // absorb at most `max_retries` consecutive transient errors.
-    for server in plan.server_targets() {
-        let budget = plan.transient_budget(server);
+    for server in faults.server_targets() {
+        let budget = faults.transient_budget(server);
         if budget > retry.max_retries as u64 {
-            out.push(UnknownReason::RetryBudgetExceeded {
-                server,
-                budget,
-                max_retries: retry.max_retries,
-            });
+            out.push(
+                Diagnostic::new(
+                    Kind::RetryBudgetExceeded,
+                    Span::new(backend),
+                    format!(
+                        "unprovable: server {server} may inject {budget} transient errors but \
+                         the retry policy allows only {} retries per op",
+                        retry.max_retries
+                    ),
+                )
+                .suggest("raise RetryPolicy::max_retries above the transient budget"),
+            );
         }
     }
     out
@@ -49,9 +64,9 @@ mod tests {
 
     #[test]
     fn no_faults_no_unknowns() {
-        assert!(fold(None, &RetryPolicy::default()).is_empty());
+        assert!(fold("t", &FaultPlan::new(), &RetryPolicy::default()).is_empty());
         let benign = FaultPlan::new().with_server_slowdown(0, window_secs(0.0, 1.0), 2.0);
-        assert!(fold(Some(&benign), &RetryPolicy::default()).is_empty());
+        assert!(fold("t", &benign, &RetryPolicy::default()).is_empty());
     }
 
     #[test]
@@ -59,16 +74,14 @@ mod tests {
         let plan = FaultPlan::new().with_server_failure(1, SimTime(0));
         let ok = RetryPolicy::default();
         assert!(ok.failover, "default policy fails over");
-        assert!(fold(Some(&plan), &ok).is_empty());
+        assert!(fold("t", &plan, &ok).is_empty());
         let stripped = RetryPolicy {
             failover: false,
             ..RetryPolicy::default()
         };
-        let reasons = fold(Some(&plan), &stripped);
-        assert!(matches!(
-            reasons[0],
-            UnknownReason::FailoverStripped { ref servers } if servers == &vec![1]
-        ));
+        let reasons = fold("t", &plan, &stripped);
+        assert_eq!(reasons[0].kind, Kind::FailoverStripped);
+        assert!(reasons[0].message.contains("[1]"), "{}", reasons[0]);
     }
 
     #[test]
@@ -79,15 +92,14 @@ mod tests {
             window_secs(0.0, 10.0),
             policy.max_retries as u64,
         );
-        assert!(fold(Some(&within), &policy).is_empty());
+        assert!(fold("t", &within, &policy).is_empty());
         let over = FaultPlan::new().with_transient_errors(
             0,
             window_secs(0.0, 10.0),
             policy.max_retries as u64 + 1,
         );
-        assert!(matches!(
-            fold(Some(&over), &policy)[0],
-            UnknownReason::RetryBudgetExceeded { server: 0, .. }
-        ));
+        let d = &fold("t", &over, &policy)[0];
+        assert_eq!(d.kind, Kind::RetryBudgetExceeded);
+        assert!(d.message.contains("server 0 "), "{d}");
     }
 }

@@ -24,11 +24,11 @@
 //!    downgrades "proved safe" to *unprovable* with a typed reason
 //!    ([`faults`]).
 //!
-//! The verdict forms a three-point lattice `Safe < Unknown < Violation`.
-//! `Safe` is a proof, `Violation` is a refutation with a concrete
-//! witness, and `Unknown` is an honest "can't prove it" with a typed
-//! [`UnknownReason`] — the only form a false positive is allowed to
-//! take.
+//! Every finding is an `amrio_plan` [`Diagnostic`]: a refutation with a
+//! concrete witness is `Error`, an honest "can't prove it" with a typed
+//! [`Kind`] is `Warning` — the only form a false positive is allowed to
+//! take. The verdict is the report's worst severity on the three-point
+//! lattice `Safe < Unknown < Violation`.
 //!
 //! The oracle for all of this is **differential**: [`replay`] drives
 //! the *real* strict runtime checker from the same plan (collective
@@ -52,265 +52,13 @@ use amrio_check::Violation;
 use amrio_disk::FsConfig;
 use amrio_fault::{FaultPlan, RetryPolicy};
 use amrio_mpiio::Hints;
-use amrio_plan::AccessPlan;
+use amrio_plan::{AccessPlan, Diagnostic, Kind, Severity};
 use std::collections::BTreeSet;
 use std::fmt;
 
 pub use commit::CommitSpec;
 pub use replay::replay;
 pub use statics::VerifyStatic;
-
-/// The property class a [`StaticViolation`] refutes. Each kind maps
-/// one-to-one onto the runtime checker's violation classes (see
-/// [`runtime_kind`]), which is what makes the differential gate
-/// well-defined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ViolationKind {
-    /// Ranks disagree on the kind/root/op/uniform payload of a matched
-    /// collective step (runtime: `Collective{Kind,Root,Op,Length}Mismatch`).
-    RankDivergence,
-    /// Some ranks block forever in a collective other ranks never enter
-    /// (runtime: `CollectiveIncomplete`).
-    ScheduleDeadlock,
-    /// Two ranks write overlapping bytes within one sync epoch
-    /// (runtime: `WriteWriteConflict`).
-    WriteWriteRace,
-    /// A read overlaps another rank's write with no barrier between
-    /// them (runtime: `ReadWriteConflict`).
-    UnsyncedRead,
-    /// A data-sieving read-modify-write window covers another rank's
-    /// bytes (runtime: `SieveRmwConflict`).
-    SievingRmw,
-    /// A generation's manifest publish is not ordered after its data
-    /// writes (runtime: torn/stale generation visible to `recover::scan`).
-    CommitNotOrdered,
-    /// An armed crash can expose an uncommitted generation as
-    /// committed (runtime: recovery resumes from a broken image).
-    UncommittedExposure,
-}
-
-impl fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ViolationKind::RankDivergence => "rank-divergence",
-            ViolationKind::ScheduleDeadlock => "schedule-deadlock",
-            ViolationKind::WriteWriteRace => "write-write-race",
-            ViolationKind::UnsyncedRead => "unsynced-read",
-            ViolationKind::SievingRmw => "sieving-rmw",
-            ViolationKind::CommitNotOrdered => "commit-not-ordered",
-            ViolationKind::UncommittedExposure => "uncommitted-exposure",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A statically proven refutation, with its witness.
-#[derive(Clone, Debug)]
-pub enum StaticViolation {
-    RankDivergence {
-        phase: &'static str,
-        step: usize,
-        rank: usize,
-        expected: String,
-        got: String,
-    },
-    ScheduleDeadlock {
-        phase: &'static str,
-        step: usize,
-        /// Ranks blocked forever in the step-`step` collective.
-        blocked: Vec<usize>,
-        /// Ranks whose schedule ended before `step` and never arrive.
-        exhausted: Vec<usize>,
-    },
-    WriteWriteRace {
-        file: String,
-        a_rank: usize,
-        a: (u64, u64),
-        b_rank: usize,
-        b: (u64, u64),
-    },
-    UnsyncedRead {
-        file: String,
-        read: (u64, u64),
-        write_rank: usize,
-        write: (u64, u64),
-    },
-    SievingRmw {
-        file: String,
-        window_rank: usize,
-        window: (u64, u64),
-        other_rank: usize,
-        other: (u64, u64),
-    },
-    CommitNotOrdered {
-        generation: u32,
-        why: String,
-    },
-    UncommittedExposure {
-        generation: u32,
-        crash_s: f64,
-        why: String,
-    },
-}
-
-impl StaticViolation {
-    pub fn kind(&self) -> ViolationKind {
-        match self {
-            StaticViolation::RankDivergence { .. } => ViolationKind::RankDivergence,
-            StaticViolation::ScheduleDeadlock { .. } => ViolationKind::ScheduleDeadlock,
-            StaticViolation::WriteWriteRace { .. } => ViolationKind::WriteWriteRace,
-            StaticViolation::UnsyncedRead { .. } => ViolationKind::UnsyncedRead,
-            StaticViolation::SievingRmw { .. } => ViolationKind::SievingRmw,
-            StaticViolation::CommitNotOrdered { .. } => ViolationKind::CommitNotOrdered,
-            StaticViolation::UncommittedExposure { .. } => ViolationKind::UncommittedExposure,
-        }
-    }
-}
-
-impl fmt::Display for StaticViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StaticViolation::RankDivergence {
-                phase,
-                step,
-                rank,
-                expected,
-                got,
-            } => write!(
-                f,
-                "rank-divergence: {phase} step {step}: rank {rank} enters {got}, rank 0 enters {expected}"
-            ),
-            StaticViolation::ScheduleDeadlock {
-                phase,
-                step,
-                blocked,
-                exhausted,
-            } => write!(
-                f,
-                "schedule-deadlock: {phase} step {step}: ranks {blocked:?} block forever \
-                 (ranks {exhausted:?} never arrive)"
-            ),
-            StaticViolation::WriteWriteRace {
-                file,
-                a_rank,
-                a,
-                b_rank,
-                b,
-            } => write!(
-                f,
-                "write-write-race: {file}: rank {a_rank} [{}, +{}) overlaps rank {b_rank} [{}, +{})",
-                a.0, a.1, b.0, b.1
-            ),
-            StaticViolation::UnsyncedRead {
-                file,
-                read,
-                write_rank,
-                write,
-            } => write!(
-                f,
-                "unsynced-read: {file}: restart read [{}, +{}) overlaps rank {write_rank}'s \
-                 write [{}, +{}) with no barrier between them",
-                read.0, read.1, write.0, write.1
-            ),
-            StaticViolation::SievingRmw {
-                file,
-                window_rank,
-                window,
-                other_rank,
-                other,
-            } => write!(
-                f,
-                "sieving-rmw: {file}: rank {window_rank}'s RMW window [{}, +{}) covers rank \
-                 {other_rank}'s bytes [{}, +{})",
-                window.0, window.1, other.0, other.1
-            ),
-            StaticViolation::CommitNotOrdered { generation, why } => {
-                write!(f, "commit-not-ordered: generation {generation}: {why}")
-            }
-            StaticViolation::UncommittedExposure {
-                generation,
-                crash_s,
-                why,
-            } => write!(
-                f,
-                "uncommitted-exposure: generation {generation}, crash at {crash_s:.6}s: {why}"
-            ),
-        }
-    }
-}
-
-/// Why a property could not be *proved* (as opposed to refuted). The
-/// typed reason is the only admissible form of a false positive: the
-/// plan may well execute cleanly, but the static model cannot show it.
-#[derive(Clone, Debug)]
-pub enum UnknownReason {
-    /// A permanent server failure is armed and the retry policy has
-    /// failover disabled — completion is unprovable.
-    FailoverStripped { servers: Vec<usize> },
-    /// A server's transient-error budget exceeds the per-op retry
-    /// budget, so one unlucky op could exhaust its retries.
-    RetryBudgetExceeded {
-        server: usize,
-        budget: u64,
-        max_retries: u32,
-    },
-    /// The armed crash provably precedes the earliest possible commit,
-    /// so no generation can be proven durable before it fires.
-    CrashBeforeFirstCommit { crash_s: f64, floor_s: f64 },
-    /// The strategy has no symbolic plan backend to analyze.
-    UnmodeledBackend { strategy: String },
-}
-
-/// Reason class, for corpus expectations and summary counting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ReasonKind {
-    FailoverStripped,
-    RetryBudgetExceeded,
-    CrashBeforeFirstCommit,
-    UnmodeledBackend,
-}
-
-impl UnknownReason {
-    pub fn kind(&self) -> ReasonKind {
-        match self {
-            UnknownReason::FailoverStripped { .. } => ReasonKind::FailoverStripped,
-            UnknownReason::RetryBudgetExceeded { .. } => ReasonKind::RetryBudgetExceeded,
-            UnknownReason::CrashBeforeFirstCommit { .. } => ReasonKind::CrashBeforeFirstCommit,
-            UnknownReason::UnmodeledBackend { .. } => ReasonKind::UnmodeledBackend,
-        }
-    }
-}
-
-impl fmt::Display for UnknownReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UnknownReason::FailoverStripped { servers } => write!(
-                f,
-                "unprovable: server(s) {servers:?} fail permanently and failover is disabled"
-            ),
-            UnknownReason::RetryBudgetExceeded {
-                server,
-                budget,
-                max_retries,
-            } => write!(
-                f,
-                "unprovable: server {server} may inject {budget} transient errors but the \
-                 retry policy allows only {max_retries} retries per op"
-            ),
-            UnknownReason::CrashBeforeFirstCommit { crash_s, floor_s } => write!(
-                f,
-                "unprovable: crash armed at {crash_s:.6}s but the earliest possible commit \
-                 is at {floor_s:.6}s — no generation can be proven durable"
-            ),
-            UnknownReason::UnmodeledBackend { strategy } => {
-                write!(
-                    f,
-                    "unprovable: strategy {strategy:?} has no symbolic plan backend"
-                )
-            }
-        }
-    }
-}
 
 /// The three-point verdict lattice: `Safe < Unknown < Violation`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -345,10 +93,10 @@ pub struct PairStats {
 }
 
 /// The full result of one static verification.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
-    pub violations: Vec<StaticViolation>,
-    pub unknowns: Vec<UnknownReason>,
+    /// Refutations (`Error`) and typed unknowns (`Warning`).
+    pub diagnostics: Vec<Diagnostic>,
     pub pairs: PairStats,
     /// Collective steps walked per phase (write, read).
     pub steps: (usize, usize),
@@ -357,23 +105,26 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
+    /// The worst severity decides: `Error` refutes, `Warning` is
+    /// unprovable.
     pub fn verdict(&self) -> Verdict {
-        if !self.violations.is_empty() {
-            Verdict::Violation
-        } else if !self.unknowns.is_empty() {
-            Verdict::Unknown
-        } else {
-            Verdict::Safe
+        match self.diagnostics.iter().map(|d| d.severity).max() {
+            Some(Severity::Error) => Verdict::Violation,
+            Some(Severity::Warning) => Verdict::Unknown,
+            _ => Verdict::Safe,
         }
     }
 
-    /// Distinct violation kinds, for differential comparison.
-    pub fn kinds(&self) -> BTreeSet<ViolationKind> {
-        self.violations.iter().map(|v| v.kind()).collect()
+    /// Distinct finding kinds, for differential comparison.
+    pub fn kinds(&self) -> BTreeSet<Kind> {
+        self.diagnostics.iter().map(|d| d.kind).collect()
     }
 
-    pub fn reason_kinds(&self) -> BTreeSet<ReasonKind> {
-        self.unknowns.iter().map(|r| r.kind()).collect()
+    fn count(&self, severity: Severity) -> usize {
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == severity)
+            .count()
     }
 }
 
@@ -383,17 +134,14 @@ impl fmt::Display for VerifyReport {
             f,
             "verdict: {} ({} violations, {} unknowns; pairs: {} ordered, {} disjoint, {} racing)",
             self.verdict(),
-            self.violations.len(),
-            self.unknowns.len(),
+            self.count(Severity::Error),
+            self.count(Severity::Warning),
             self.pairs.ordered,
             self.pairs.disjoint,
             self.pairs.racing
         )?;
-        for v in &self.violations {
-            writeln!(f, "  violation: {v}")?;
-        }
-        for r in &self.unknowns {
-            writeln!(f, "  unknown: {r}")?;
+        for d in &self.diagnostics {
+            writeln!(f, "  {d}")?;
         }
         Ok(())
     }
@@ -433,19 +181,16 @@ impl<'a> VerifyInput<'a> {
 pub fn verify(input: &VerifyInput<'_>) -> VerifyReport {
     let sched = clock::analyze(input.plan);
     let races = races::classify(input.plan, input.hints, &sched);
-    let (commit_violations, commit_unknowns) =
-        commit::check(input.plan, input.fs, &input.commit, input.faults, &sched);
-    let fault_unknowns = faults::fold(input.faults, &input.retry);
-
-    let mut violations = sched.violations;
-    violations.extend(races.violations);
-    violations.extend(commit_violations);
-    let mut unknowns = fault_unknowns;
-    unknowns.extend(commit_unknowns);
+    let commit = commit::check(input.plan, input.fs, &input.commit, input.faults, &sched);
+    let mut diagnostics = sched.diagnostics;
+    diagnostics.extend(races.diagnostics);
+    diagnostics.extend(commit);
+    if let Some(faults) = input.faults {
+        diagnostics.extend(faults::fold(input.plan.backend, faults, &input.retry));
+    }
 
     VerifyReport {
-        violations,
-        unknowns,
+        diagnostics,
         pairs: races.pairs,
         steps: sched.steps,
         barriers: sched.barriers,
@@ -457,16 +202,16 @@ pub fn verify(input: &VerifyInput<'_>) -> VerifyReport {
 /// produce (point-to-point sends, view registrations) — if the replay
 /// oracle ever reports one of those for a plan-driven run, that is a
 /// hole in the model and the differential gate fails loudly.
-pub fn runtime_kind(v: &Violation) -> Option<ViolationKind> {
+pub fn runtime_kind(v: &Violation) -> Option<Kind> {
     match v {
         Violation::CollectiveKindMismatch { .. }
         | Violation::CollectiveRootMismatch { .. }
         | Violation::CollectiveOpMismatch { .. }
-        | Violation::CollectiveLengthMismatch { .. } => Some(ViolationKind::RankDivergence),
-        Violation::CollectiveIncomplete { .. } => Some(ViolationKind::ScheduleDeadlock),
-        Violation::WriteWriteConflict { .. } => Some(ViolationKind::WriteWriteRace),
-        Violation::ReadWriteConflict { .. } => Some(ViolationKind::UnsyncedRead),
-        Violation::SieveRmwConflict { .. } => Some(ViolationKind::SievingRmw),
+        | Violation::CollectiveLengthMismatch { .. } => Some(Kind::RankDivergence),
+        Violation::CollectiveIncomplete { .. } => Some(Kind::ScheduleDeadlock),
+        Violation::WriteWriteConflict { .. } => Some(Kind::WriteWriteRace),
+        Violation::ReadWriteConflict { .. } => Some(Kind::UnsyncedRead),
+        Violation::SieveRmwConflict { .. } => Some(Kind::SievingRmw),
         Violation::UnmatchedSend { .. } | Violation::ViewOverlap { .. } => None,
     }
 }

@@ -17,11 +17,11 @@
 //! (`tests/verify.rs`).
 
 use crate::commit::CommitSpec;
-use crate::{ReasonKind, Verdict, ViolationKind};
+use crate::Verdict;
 use amrio_check::CollKind;
 use amrio_fault::{window_secs, FaultPlan, RetryPolicy};
 use amrio_mpiio::Hints;
-use amrio_plan::{plan, AccessPlan, Backend, PlanInput, Writers};
+use amrio_plan::{plan, AccessPlan, Backend, Kind, PlanInput, Writers};
 use amrio_simt::SimTime;
 
 /// One corpus entry: a (possibly) broken configuration and the verdict
@@ -35,10 +35,8 @@ pub struct MutatedCase {
     pub retry: RetryPolicy,
     pub commit: CommitSpec,
     pub expect_verdict: Verdict,
-    /// Violation kinds the static report must contain (subset check).
-    pub expect_kinds: Vec<ViolationKind>,
-    /// Unknown reasons the static report must contain (subset check).
-    pub expect_reasons: Vec<ReasonKind>,
+    /// Finding kinds the static report must contain (subset check).
+    pub expect: Vec<Kind>,
     /// Whether the replayed runtime checker must also report at least
     /// one violation (true for plan-level mutations; fault/commit
     /// mutations are reproduced against the runtime *stack* instead —
@@ -62,8 +60,7 @@ impl MutatedCase {
             retry: RetryPolicy::default(),
             commit: CommitSpec::default(),
             expect_verdict: Verdict::Violation,
-            expect_kinds: Vec::new(),
-            expect_reasons: Vec::new(),
+            expect: Vec::new(),
             replay_flags: true,
         }
     }
@@ -132,7 +129,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             p,
             hints,
         );
-        c.expect_kinds = vec![ViolationKind::ScheduleDeadlock];
+        c.expect = vec![Kind::ScheduleDeadlock];
         out.push(c);
     }
 
@@ -157,7 +154,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             p,
             hints,
         );
-        c.expect_kinds = vec![ViolationKind::RankDivergence];
+        c.expect = vec![Kind::RankDivergence];
         out.push(c);
     }
 
@@ -179,7 +176,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             p,
             hints,
         );
-        c.expect_kinds = vec![ViolationKind::RankDivergence];
+        c.expect = vec![Kind::RankDivergence];
         out.push(c);
     }
 
@@ -211,7 +208,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             p,
             hints,
         );
-        c.expect_kinds = vec![ViolationKind::WriteWriteRace];
+        c.expect = vec![Kind::WriteWriteRace];
         out.push(c);
     }
 
@@ -236,7 +233,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
         );
         // Reads race with writes, and the commit publish loses its
         // ordering edge with them.
-        c.expect_kinds = vec![ViolationKind::UnsyncedRead, ViolationKind::CommitNotOrdered];
+        c.expect = vec![Kind::UnsyncedRead, Kind::CommitNotOrdered];
         out.push(c);
     }
 
@@ -256,7 +253,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             p,
             sieve_input.hints,
         );
-        c.expect_kinds = vec![ViolationKind::SievingRmw];
+        c.expect = vec![Kind::SievingRmw];
         out.push(c);
     }
 
@@ -276,8 +273,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             ..RetryPolicy::default()
         };
         c.expect_verdict = Verdict::Unknown;
-        c.expect_kinds = Vec::new();
-        c.expect_reasons = vec![ReasonKind::FailoverStripped];
+        c.expect = vec![Kind::FailoverStripped];
         c.replay_flags = false;
         out.push(c);
     }
@@ -300,7 +296,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             Some(FaultPlan::new().with_transient_errors(server, window_secs(0.0, 1e6), budget));
         c.retry = retry;
         c.expect_verdict = Verdict::Unknown;
-        c.expect_reasons = vec![ReasonKind::RetryBudgetExceeded];
+        c.expect = vec![Kind::RetryBudgetExceeded];
         c.replay_flags = false;
         out.push(c);
     }
@@ -317,7 +313,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
         );
         c.faults = Some(FaultPlan::new().with_crash(SimTime(1_000)));
         c.expect_verdict = Verdict::Unknown;
-        c.expect_reasons = vec![ReasonKind::CrashBeforeFirstCommit];
+        c.expect = vec![Kind::CrashBeforeFirstCommit];
         c.replay_flags = false;
         out.push(c);
     }
@@ -335,7 +331,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             manifest_after_data_barrier: false,
             ..CommitSpec::default()
         };
-        c.expect_kinds = vec![ViolationKind::CommitNotOrdered];
+        c.expect = vec![Kind::CommitNotOrdered];
         c.replay_flags = false;
         out.push(c);
     }
@@ -354,7 +350,7 @@ pub fn corpus(input: &PlanInput, seed: u64) -> Vec<MutatedCase> {
             manifest_checksummed: false,
             ..CommitSpec::default()
         };
-        c.expect_kinds = vec![ViolationKind::UncommittedExposure];
+        c.expect = vec![Kind::UncommittedExposure];
         c.replay_flags = false;
         out.push(c);
     }

@@ -21,16 +21,17 @@
 
 use crate::accesses::{self, AccessKind, ReadAccess, WriteAccess};
 use crate::clock::ScheduleAnalysis;
-use crate::{PairStats, StaticViolation};
+use crate::PairStats;
 use amrio_mpiio::Hints;
-use amrio_plan::AccessPlan;
+use amrio_plan::{AccessPlan, Diagnostic, Kind, Span};
 
 /// Cap on reported race witnesses (counts are not capped).
 const MAX_REPORTED: usize = 64;
 
 #[derive(Clone, Debug)]
 pub struct RaceAnalysis {
-    pub violations: Vec<StaticViolation>,
+    /// `WriteWriteRace` / `UnsyncedRead` / `SievingRmw` witnesses.
+    pub diagnostics: Vec<Diagnostic>,
     pub pairs: PairStats,
 }
 
@@ -39,12 +40,14 @@ pub struct RaceAnalysis {
 /// ordering).
 pub fn classify(plan: &AccessPlan, hints: &Hints, sched: &ScheduleAnalysis) -> RaceAnalysis {
     let (writes, reads) = accesses::effective(plan, hints);
-    let mut violations = Vec::new();
+    let mut diagnostics = Vec::new();
+    let span = Span::new(plan.backend);
     let mut pairs = PairStats::default();
 
     for fi in 0..plan.files.len() {
         let mut fw: Vec<&WriteAccess> = writes.iter().filter(|w| w.file == fi).collect();
         let fr: Vec<&ReadAccess> = reads.iter().filter(|r| r.file == fi).collect();
+        let in_file = span.clone().file(&plan.files[fi].path);
         fw.sort_by_key(|w| (w.offset, w.rank, w.len));
 
         // --- write/write within the write phase (one concurrency class).
@@ -69,34 +72,42 @@ pub fn classify(plan: &AccessPlan, hints: &Hints, sched: &ScheduleAnalysis) -> R
                     continue;
                 }
                 racing_ww += 1;
-                if violations.len() >= MAX_REPORTED {
+                if diagnostics.len() >= MAX_REPORTED {
                     continue;
                 }
-                let path = plan.files[fi].path.clone();
+                let pair = in_file.clone().ranks(a.rank, b.rank);
                 // Attribute to data sieving when either side is an RMW
                 // window — the same attribution the runtime scan makes.
-                if a.kind == AccessKind::RmwWindow || b.kind == AccessKind::RmwWindow {
-                    let (win, other) = if a.kind == AccessKind::RmwWindow {
-                        (a, b)
+                diagnostics.push(
+                    if a.kind == AccessKind::RmwWindow || b.kind == AccessKind::RmwWindow {
+                        let (win, other) = if a.kind == AccessKind::RmwWindow {
+                            (a, b)
+                        } else {
+                            (b, a)
+                        };
+                        Diagnostic::new(
+                            Kind::SievingRmw,
+                            pair.bytes((win.offset, win.len)),
+                            format!(
+                                "rank {}'s RMW window [{}, +{}) covers rank {}'s bytes [{}, +{})",
+                                win.rank, win.offset, win.len, other.rank, other.offset, other.len
+                            ),
+                        )
+                        .suggest(
+                            "disable ds_write, or route this dataset through collective \
+                             two-phase I/O (cb_write)",
+                        )
                     } else {
-                        (b, a)
-                    };
-                    violations.push(StaticViolation::SievingRmw {
-                        file: path,
-                        window_rank: win.rank,
-                        window: (win.offset, win.len),
-                        other_rank: other.rank,
-                        other: (other.offset, other.len),
-                    });
-                } else {
-                    violations.push(StaticViolation::WriteWriteRace {
-                        file: path,
-                        a_rank: a.rank,
-                        a: (a.offset, a.len),
-                        b_rank: b.rank,
-                        b: (b.offset, b.len),
-                    });
-                }
+                        Diagnostic::new(
+                            Kind::WriteWriteRace,
+                            pair.bytes((b.offset, b.len)),
+                            format!(
+                                "rank {} [{}, +{}) overlaps rank {} [{}, +{})",
+                                a.rank, a.offset, a.len, b.rank, b.offset, b.len
+                            ),
+                        )
+                    },
+                );
             }
         }
         pairs.racing += racing_ww;
@@ -123,19 +134,25 @@ pub fn classify(plan: &AccessPlan, hints: &Hints, sched: &ScheduleAnalysis) -> R
                     continue;
                 }
                 pairs.racing += 1;
-                if violations.len() < MAX_REPORTED {
-                    violations.push(StaticViolation::UnsyncedRead {
-                        file: plan.files[fi].path.clone(),
-                        read: (r.offset, r.len),
-                        write_rank: w.rank,
-                        write: (w.offset, w.len),
-                    });
+                if diagnostics.len() < MAX_REPORTED {
+                    diagnostics.push(Diagnostic::new(
+                        Kind::UnsyncedRead,
+                        in_file
+                            .clone()
+                            .ranks(w.rank, w.rank)
+                            .bytes((r.offset, r.len)),
+                        format!(
+                            "restart read [{}, +{}) overlaps rank {}'s write [{}, +{}) with no \
+                             barrier between them",
+                            r.offset, r.len, w.rank, w.offset, w.len
+                        ),
+                    ));
                 }
             }
         }
     }
 
-    RaceAnalysis { violations, pairs }
+    RaceAnalysis { diagnostics, pairs }
 }
 
 #[cfg(test)]
@@ -146,7 +163,7 @@ mod tests {
 
     fn sched(ordered: bool) -> ScheduleAnalysis {
         ScheduleAnalysis {
-            violations: Vec::new(),
+            diagnostics: Vec::new(),
             write_read_ordered: ordered,
             steps: (0, 0),
             barriers: (0, 0),
@@ -190,7 +207,7 @@ mod tests {
             vec![(0, 100)],
         );
         let r = classify(&plan, &Hints::default(), &sched(true));
-        assert!(r.violations.is_empty());
+        assert!(r.diagnostics.is_empty());
         assert_eq!(r.pairs.disjoint, 1);
         assert!(r.pairs.ordered >= 1, "read-back overlaps are ordered");
     }
@@ -202,14 +219,8 @@ mod tests {
             Vec::new(),
         );
         let r = classify(&plan, &Hints::default(), &sched(true));
-        assert!(matches!(
-            r.violations[0],
-            StaticViolation::WriteWriteRace {
-                a_rank: 0,
-                b_rank: 1,
-                ..
-            }
-        ));
+        assert_eq!(r.diagnostics[0].kind, Kind::WriteWriteRace);
+        assert_eq!(r.diagnostics[0].span.ranks, Some((0, 1)));
         assert_eq!(r.pairs.racing, 1);
     }
 
@@ -220,10 +231,7 @@ mod tests {
             vec![(0, 100)],
         );
         let r = classify(&plan, &Hints::default(), &sched(false));
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, StaticViolation::UnsyncedRead { .. })));
+        assert!(r.diagnostics.iter().any(|d| d.kind == Kind::UnsyncedRead));
     }
 
     #[test]
@@ -243,13 +251,9 @@ mod tests {
             Vec::new(),
         );
         let r = classify(&plan, &hints, &sched(true));
-        assert!(matches!(
-            r.violations[0],
-            StaticViolation::SievingRmw {
-                window_rank: 0,
-                window: (0, 40),
-                ..
-            }
-        ));
+        let d = &r.diagnostics[0];
+        assert_eq!(d.kind, Kind::SievingRmw);
+        assert_eq!(d.span.bytes, Some((0, 40)), "span is the RMW window");
+        assert!(d.message.starts_with("rank 0's RMW window"), "{d}");
     }
 }

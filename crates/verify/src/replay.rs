@@ -20,10 +20,10 @@
 //! reports the read/write conflicts the static analysis predicted.
 
 use crate::accesses;
-use amrio_check::conform::CollExpect;
 use amrio_check::{CheckMode, CheckReport, Checker, CollDesc, CollKind};
 use amrio_disk::{FsConfig, IoEvent, Pfs};
 use amrio_mpiio::Hints;
+use amrio_plan::conform::CollExpect;
 use amrio_plan::AccessPlan;
 use amrio_simt::sync::Mutex;
 use amrio_simt::SimTime;

@@ -14,12 +14,12 @@
 //! advantage comes from.
 
 use crate::commit::CommitSpec;
-use crate::{verify, UnknownReason, VerifyInput, VerifyReport};
+use crate::{verify, VerifyInput, VerifyReport};
 use amrio_enzo::evolve::{evolve_step, rebuild_refinement};
 use amrio_enzo::state::SimState;
 use amrio_enzo::{Experiment, StaticInputs};
 use amrio_mpi::World;
-use amrio_plan::{plan, Backend, PlanInput};
+use amrio_plan::{plan, Backend, Diagnostic, Kind, PlanInput, Span};
 
 /// Map a strategy name onto its symbolic plan backend. Strategies the
 /// plan extractor does not model (write-behind, multi-file, naive
@@ -84,13 +84,15 @@ impl VerifyStatic for Experiment<'_> {
         let inputs = self.static_inputs();
         let Some(backend) = backend_of(inputs.strategy) else {
             return VerifyReport {
-                violations: Vec::new(),
-                unknowns: vec![UnknownReason::UnmodeledBackend {
-                    strategy: inputs.strategy.to_string(),
-                }],
-                pairs: Default::default(),
-                steps: (0, 0),
-                barriers: (0, 0),
+                diagnostics: vec![Diagnostic::new(
+                    Kind::UnmodeledBackend,
+                    Span::new(inputs.strategy),
+                    format!(
+                        "unprovable: strategy {:?} has no symbolic plan backend",
+                        inputs.strategy
+                    ),
+                )],
+                ..VerifyReport::default()
             };
         };
         let input = plan_input_of(&inputs);

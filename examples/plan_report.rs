@@ -1,8 +1,8 @@
 //! `amrio-plan` in action: for each I/O backend, extract the static
 //! access plan from an experiment configuration, prove exact-once
-//! coverage and collective lockstep, diff the plan against a strict-mode
-//! checked run (plan↔trace conformance), and print the layout-quality
-//! metrics.
+//! coverage and (with `amrio-verify`'s vector clocks) collective
+//! lockstep, diff the plan against a strict-mode checked run
+//! (plan↔trace conformance), and print the layout-quality metrics.
 //!
 //! Exits non-zero if any proof or conformance check fails — the CI gate
 //! (`scripts/ci.sh`) runs this as the planner's self-verification.
@@ -17,9 +17,8 @@ use amrio::enzo::{
     SimConfig,
 };
 use amrio::hdf5::OverheadModel;
-use amrio::plan::{
-    check_conformance, layout_metrics, plan, verify_exact_once, verify_lockstep, Backend, PlanInput,
-};
+use amrio::plan::{check_conformance, layout_metrics, plan, verify_exact_once, Backend, PlanInput};
+use amrio::verify::clock;
 
 fn cfg(problem: ProblemSize, nranks: usize) -> SimConfig {
     let mut c = SimConfig::new(problem, nranks);
@@ -70,7 +69,7 @@ fn report(problem: ProblemSize, nranks: usize) -> bool {
         let input = PlanInput::from_probe(&probe, &platform.fs);
         let p = plan(&input, backend);
         let cov = verify_exact_once(&p);
-        let lock = verify_lockstep(&p);
+        let lock = clock::analyze(&p).diagnostics;
         let conf = check_conformance(&p, &probe);
         let proven = cov.is_proven() && lock.is_empty() && conf.is_empty();
         println!(
@@ -87,11 +86,8 @@ fn report(problem: ProblemSize, nranks: usize) -> bool {
             },
         );
         println!("  {:<14} {}", "", layout_metrics(&input, &p));
-        for issue in cov.issues.iter().chain(lock.iter()) {
-            println!("    !! {issue}");
-        }
-        for issue in &conf {
-            println!("    !! {issue}");
+        for d in cov.diagnostics.iter().chain(&lock).chain(&conf) {
+            println!("    !! {d}");
         }
         ok &= proven;
     }

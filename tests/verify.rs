@@ -1,7 +1,8 @@
 //! Differential guarantees for `amrio-verify`: the unmutated shipped
 //! plan proves Safe *and* replays clean through the real runtime
 //! checker; every seeded mutation is flagged statically with the
-//! expected kind; and every plan-level mutation also reproduces under
+//! expected kind, by the verifier and by `amrio-tune`'s lints alike;
+//! and every plan-level mutation also reproduces under
 //! the runtime checker with its violation kinds covered by the static
 //! report — zero false negatives at kind granularity. The fault- and
 //! commit-level mutations are reproduced against the runtime *stack*
@@ -15,11 +16,12 @@ use amrio::enzo::{
 };
 use amrio::fault::{FaultPlan, RetryPolicy};
 use amrio::net::{Net, NetConfig};
-use amrio::plan::{plan, Backend, PlanInput};
+use amrio::plan::{plan, Backend, Kind, PlanInput, Severity};
 use amrio::recover::{manifest_path, scan, GenStatus, Manifest, ManifestError};
 use amrio::simt::SimTime;
+use amrio::tune::{lint, lint_faults};
 use amrio::verify::mutate::corpus;
-use amrio::verify::{replay, runtime_kind, verify, ReasonKind, Verdict, VerifyInput, VerifyStatic};
+use amrio::verify::{replay, runtime_kind, verify, Verdict, VerifyInput, VerifyStatic};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -90,16 +92,17 @@ fn experiments_verify_statically() {
         .verify_static();
     assert_eq!(unmodeled.verdict(), Verdict::Unknown);
     assert!(
-        unmodeled
-            .reason_kinds()
-            .contains(&ReasonKind::UnmodeledBackend),
+        unmodeled.kinds().contains(&Kind::UnmodeledBackend),
         "{unmodeled}"
     );
 }
 
 /// Every corpus case is flagged statically with exactly the expected
-/// verdict, and the expected kinds/reasons appear in the report — for
-/// multiple seeds, since the mutation sites are seed-chosen.
+/// verdict, and the expected kinds appear in the report — for multiple
+/// seeds, since the mutation sites are seed-chosen. The lint pass must
+/// agree: every expected schedule or race kind appears at `Error` in
+/// `lint` under the case's hints, and every expected fault or
+/// crash-floor kind in `lint_faults`.
 #[test]
 fn every_mutation_is_flagged_statically() {
     let (platform, cfg) = cell();
@@ -122,18 +125,41 @@ fn every_mutation_is_flagged_statically() {
                 case.description
             );
             let kinds = report.kinds();
-            for k in &case.expect_kinds {
+            let lints = lint(
+                &PlanInput {
+                    hints: case.hints,
+                    ..input.clone()
+                },
+                &case.plan,
+            );
+            let fault_lints = case
+                .faults
+                .as_ref()
+                .map(|f| lint_faults(&case.plan, &platform.fs, f, &case.retry))
+                .unwrap_or_default();
+            for &k in &case.expect {
                 assert!(
-                    kinds.contains(k),
+                    kinds.contains(&k),
                     "seed {seed} case {}: missing {k}\n{report}",
                     case.name
                 );
-            }
-            let reasons = report.reason_kinds();
-            for r in &case.expect_reasons {
+                let linted = match k {
+                    Kind::RankDivergence
+                    | Kind::ScheduleDeadlock
+                    | Kind::WriteWriteRace
+                    | Kind::UnsyncedRead
+                    | Kind::SievingRmw => lints
+                        .iter()
+                        .any(|d| d.kind == k && d.severity == Severity::Error),
+                    Kind::FailoverStripped
+                    | Kind::RetryBudgetExceeded
+                    | Kind::CrashBeforeFirstCommit => fault_lints.iter().any(|d| d.kind == k),
+                    _ => true,
+                };
                 assert!(
-                    reasons.contains(r),
-                    "seed {seed} case {}: missing {r:?}\n{report}",
+                    linted,
+                    "seed {seed} case {}: lint disagrees with verify on {k}\n{lints:#?}\n\
+                     {fault_lints:#?}",
                     case.name
                 );
             }
