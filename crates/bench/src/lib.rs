@@ -185,11 +185,12 @@ pub fn crash_sweep(
     use amrio_check::CheckMode;
     use amrio_fault::FaultPlan;
     use amrio_simt::SimTime;
+    use std::num::NonZeroU32;
     use std::sync::Arc;
 
     let clean = Experiment::new(platform, cfg, strategy)
         .cycles(EVOLVE_CYCLES)
-        .dump_every(1)
+        .dump_every(NonZeroU32::new(1).unwrap())
         .check(CheckMode::Strict)
         .run();
     assert!(clean.report.verified, "clean generational run must verify");
@@ -205,7 +206,7 @@ pub fn crash_sweep(
         let plan = Arc::new(FaultPlan::new().with_crash(t));
         let out = Experiment::new(platform, cfg, strategy)
             .cycles(EVOLVE_CYCLES)
-            .dump_every(1)
+            .dump_every(NonZeroU32::new(1).unwrap())
             .check(CheckMode::Strict)
             .faults(plan)
             .run();

@@ -28,6 +28,7 @@ use amrio_mpiio::{Advisory, Mode, MpiIo};
 use amrio_recover::{manifest_path, Manifest};
 use amrio_simt::sync::Mutex;
 use amrio_simt::{SchedStats, SimDur};
+use std::num::NonZeroU32;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -161,7 +162,7 @@ pub struct Experiment<'a> {
     faults: Option<Arc<FaultPlan>>,
     retry: Option<RetryPolicy>,
     advisory: Option<Advisory>,
-    dump_every: Option<u32>,
+    dump_every: Option<NonZeroU32>,
 }
 
 impl<'a> Experiment<'a> {
@@ -238,8 +239,9 @@ impl<'a> Experiment<'a> {
     /// by the dump's own restart read — so a crashed run can resume
     /// from the newest committed generation on a bit-identical state
     /// trajectory.
-    pub fn dump_every(mut self, k: u32) -> Self {
-        assert!(k > 0, "dump interval must be positive");
+    /// A zero interval is unrepresentable here; the data-driven path
+    /// reports it as `SpecError::ZeroDumpEvery` at validation time.
+    pub fn dump_every(mut self, k: NonZeroU32) -> Self {
         self.dump_every = Some(k);
         self
     }
@@ -258,7 +260,7 @@ impl<'a> Experiment<'a> {
             faults: self.faults.clone(),
             retry: self.retry.unwrap_or_default(),
             cycles: self.cycles,
-            dump_every: self.dump_every,
+            dump_every: self.dump_every.map(NonZeroU32::get),
         }
     }
 
@@ -435,7 +437,7 @@ impl<'a> Experiment<'a> {
             (None, true) => Some(CheckMode::Log),
             (None, false) => None,
         };
-        let k = dump_every.unwrap_or(cycles).max(1) as u64;
+        let k = dump_every.map_or(cycles, NonZeroU32::get).max(1) as u64;
         if faults.as_ref().is_some_and(|p| p.crash_at().is_some()) {
             // Crashes unwind rank threads by design; keep the default
             // panic hook from reporting the expected payloads.

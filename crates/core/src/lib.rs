@@ -46,6 +46,7 @@ mod tests {
     use crate::evolve::{evolve_step, rebuild_refinement};
     use amrio_mpi::World;
     use amrio_mpiio::MpiIo;
+    use std::num::NonZeroU32;
 
     fn tiny_cfg(nranks: usize) -> SimConfig {
         let mut c = SimConfig::new(ProblemSize::Custom(16), nranks);
@@ -114,12 +115,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_dump_interval_is_a_typed_error_not_a_panic() {
+        use crate::spec::{ExperimentSpec, PlatformId, SpecError, StrategyId};
+        let mut spec =
+            ExperimentSpec::new(PlatformId::Origin2000, StrategyId::MpiIoOptimized, 16, 4);
+        spec.dump_every = Some(0);
+        let built = std::panic::catch_unwind(|| Experiment::from_spec(&spec).map(|_| ()));
+        assert_eq!(built.expect("no panic"), Err(SpecError::ZeroDumpEvery));
+        // A positive interval still selects the generational path.
+        spec.dump_every = Some(1);
+        let out = Experiment::from_spec(&spec).expect("valid spec").run();
+        assert!(out.report.verified);
+    }
+
+    #[test]
     fn generational_dumps_commit_and_verify() {
         let cfg = tiny_cfg(4);
         let platform = Platform::origin2000(4);
         let out = Experiment::new(&platform, &cfg, &MpiIoOptimized)
             .cycles(2)
-            .dump_every(1)
+            .dump_every(NonZeroU32::new(1).unwrap())
             .run();
         assert!(out.report.verified, "every generation must round-trip");
         assert!(out.recovery.is_none(), "no crash was armed");

@@ -6,7 +6,7 @@
 use crate::wire;
 use amrio_amr::ParticleSet;
 use amrio_mpi::Comm;
-use amrio_simt::SimDur;
+use amrio_simt::{Bytes, SimDur};
 
 const NS_PER_SORT_ITEM: u64 = 30;
 
@@ -30,23 +30,9 @@ pub fn parallel_sort_by_id(comm: &Comm, mut ps: ParticleSet) -> (ParticleSet, Ve
             sample.extend_from_slice(&ps.id[idx.min(n - 1)].to_le_bytes());
         }
     }
-    let all = comm.allgatherv(sample);
-    let mut samples: Vec<i64> = all
-        .iter()
-        .flat_map(|b| {
-            b.chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-        })
-        .collect();
-    samples.sort_unstable();
-    // p-1 splitters: every p-th sample (none if nobody had particles).
-    let splitters: Vec<i64> = if samples.is_empty() {
-        Vec::new()
-    } else {
-        (1..p)
-            .map(|k| samples[(k * samples.len() / p).min(samples.len() - 1)])
-            .collect()
-    };
+    // The splitters are the same on every rank, so they are computed once
+    // from the gathered samples and shared.
+    let splitters = comm.allgatherv_with(sample, |all| sample_splitters(all, p));
 
     // Partition local particles by splitter (dest r gets ids in
     // (splitters[r-1], splitters[r]]).
@@ -73,6 +59,26 @@ pub fn parallel_sort_by_id(comm: &Comm, mut ps: ParticleSet) -> (ParticleSet, Ve
         .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
         .collect();
     (mine, counts)
+}
+
+/// The p-1 splitters of a sample sort: every p-th of the gathered
+/// little-endian `i64` samples in ascending order (none if nobody had
+/// particles).
+fn sample_splitters(all: &[Bytes], p: usize) -> Vec<i64> {
+    let mut samples: Vec<i64> = all
+        .iter()
+        .flat_map(|b| {
+            b.chunks_exact(8)
+                .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+        })
+        .collect();
+    samples.sort_unstable();
+    if samples.is_empty() {
+        return Vec::new();
+    }
+    (1..p)
+        .map(|k| samples[(k * samples.len() / p).min(samples.len() - 1)])
+        .collect()
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@ use amrio_simt::digest::fnv1a_once;
 use amrio_simt::{SimDur, SimTime};
 use std::fmt;
 use std::fmt::Write as _;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// The four platform models, by name (see [`Platform`]).
@@ -826,7 +827,7 @@ impl SpecExperiment {
             e = e.advisory(a);
         }
         if let Some(k) = self.spec.dump_every {
-            e = e.dump_every(k);
+            e = e.dump_every(NonZeroU32::new(k).expect("validated at from_spec time"));
         }
         e.run()
     }

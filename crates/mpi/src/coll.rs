@@ -11,6 +11,7 @@ use crate::Comm;
 use amrio_check::{CollDesc, CollKind};
 use amrio_net::Net;
 use amrio_simt::{Bytes, Rank, SimDur, SimTime};
+use std::sync::Arc;
 
 /// Reduction operators over `f64` vectors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -279,6 +280,22 @@ impl<'a> Comm<'a> {
     /// All-gather variable-size payloads; everyone returns all payloads
     /// indexed by rank. Implemented as gather-to-0 plus broadcast.
     pub fn allgatherv(&self, data: impl Into<Bytes>) -> Vec<Bytes> {
+        self.allgatherv_with(data, |all| all.to_vec()).to_vec()
+    }
+
+    /// [`Comm::allgatherv`] that hands every rank `f(payloads)` instead
+    /// of the payloads. `f` must be a deterministic function of the
+    /// gathered payloads (indexed by rank): it runs once per collective,
+    /// on whichever rank arrives last, and every rank receives the same
+    /// shared result.
+    pub fn allgatherv_with<R>(
+        &self,
+        data: impl Into<Bytes>,
+        f: impl FnOnce(&[Bytes]) -> R,
+    ) -> Arc<R>
+    where
+        R: Send + Sync + 'static,
+    {
         let data = data.into();
         let desc = CollDesc {
             kind: CollKind::Allgatherv,
@@ -287,12 +304,10 @@ impl<'a> Comm<'a> {
             bytes: data.len() as u64,
             uniform_bytes: false,
         };
-        self.rendezvous(desc, data, move |net, inputs| {
-            let n = inputs.len();
-            let mut clocks: Vec<SimTime> = inputs.iter().map(|(t, _)| *t).collect();
-            let payloads: Vec<Bytes> = inputs.into_iter().map(|(_, d)| d).collect();
+        self.rendezvous(desc, data, |net, inputs| {
+            let (mut clocks, payloads): (Vec<SimTime>, Vec<Bytes>) = inputs.into_iter().unzip();
             let mut root_clock = clocks[0];
-            for src in 1..n {
+            for src in 1..clocks.len() {
                 let bytes = payloads[src].len() as u64;
                 let x = net.transfer(src, 0, bytes, clocks[src]);
                 clocks[src] = x.sender_free;
@@ -301,7 +316,11 @@ impl<'a> Comm<'a> {
             clocks[0] = root_clock;
             let total: u64 = payloads.iter().map(|p| p.len() as u64).sum();
             binomial_bcast_times(net, &mut clocks, 0, total);
-            (0..n).map(|r| (clocks[r], payloads.clone())).collect()
+            let shared = Arc::new(f(&payloads));
+            clocks
+                .into_iter()
+                .map(|ct| (ct, Arc::clone(&shared)))
+                .collect()
         })
     }
 
@@ -321,33 +340,35 @@ impl<'a> Comm<'a> {
         self.rendezvous(desc, data, move |net, inputs| {
             let n = inputs.len();
             let mut clocks: Vec<SimTime> = inputs.iter().map(|(t, _)| *t).collect();
-            let payloads: Vec<Vec<Bytes>> = inputs.into_iter().map(|(_, d)| d).collect();
+            let mut payloads: Vec<Vec<Bytes>> = inputs.into_iter().map(|(_, d)| d).collect();
             // Everyone starts the exchange together (implicit sync).
             let start = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
             for c in clocks.iter_mut() {
                 *c = start;
             }
-            let mut out: Vec<Vec<Bytes>> = (0..n)
-                .map(|_| (0..n).map(|_| Bytes::new()).collect())
-                .collect();
+            // Empty `Bytes` do not allocate, and every payload is moved
+            // (not cloned) into place. Zero-byte pairs are still priced:
+            // they pay per-message latency and occupy adapters.
+            let mut out: Vec<Vec<Bytes>> = (0..n).map(|_| vec![Bytes::new(); n]).collect();
             // Local hand-offs first.
             for i in 0..n {
-                let bytes = payloads[i][i].len() as u64;
-                clocks[i] += unpack_cost(net, bytes);
-                out[i][i] = payloads[i][i].clone();
+                let part = std::mem::take(&mut payloads[i][i]);
+                clocks[i] += unpack_cost(net, part.len() as u64);
+                out[i][i] = part;
             }
+            let mut arrivals: Vec<(usize, SimTime, u64)> = Vec::with_capacity(n);
             for k in 1..n {
                 // Pre-compute arrivals for this round, then merge.
-                let mut arrivals: Vec<(usize, SimTime, u64)> = Vec::with_capacity(n);
                 for i in 0..n {
                     let dst = (i + k) % n;
-                    let bytes = payloads[i][dst].len() as u64;
+                    let part = std::mem::take(&mut payloads[i][dst]);
+                    let bytes = part.len() as u64;
                     let x = net.transfer(i, dst, bytes, clocks[i]);
                     clocks[i] = x.sender_free;
                     arrivals.push((dst, x.arrival, bytes));
-                    out[dst][i] = payloads[i][dst].clone();
+                    out[dst][i] = part;
                 }
-                for (dst, arr, bytes) in arrivals {
+                for (dst, arr, bytes) in arrivals.drain(..) {
                     clocks[dst] = clocks[dst].max(arr) + unpack_cost(net, bytes);
                 }
             }
@@ -360,7 +381,9 @@ impl<'a> Comm<'a> {
 mod tests {
     use crate::World;
     use amrio_net::NetConfig;
-    use amrio_simt::SimTime;
+    use amrio_simt::{SimDur, SimTime};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use super::ReduceOp;
 
@@ -476,6 +499,140 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn allgatherv_and_allgatherv_with_keep_their_clocks() {
+        // Both entry points finish every rank at the pinned clocks on
+        // every platform.
+        let pinned: [(NetConfig, [u64; 9]); 3] = [
+            (
+                NetConfig::ccnuma(9),
+                [
+                    22136, 20136, 20136, 20670, 20136, 20670, 20670, 21204, 22670,
+                ],
+            ),
+            (
+                NetConfig::smp_cluster(9, 4),
+                [
+                    52924, 49924, 50646, 51368, 71442, 72164, 72886, 73608, 75164,
+                ],
+            ),
+            (
+                NetConfig::fast_ethernet(9),
+                [
+                    319106, 400998, 400998, 521238, 400998, 521238, 521238, 641478, 439346,
+                ],
+            ),
+        ];
+        let clocks = |cfg: &NetConfig, n: usize, payload: fn(usize) -> Vec<u8>, with: bool| {
+            let w = World::new(n, cfg.clone());
+            let r = w.run(|c| {
+                c.compute(SimDur::from_micros((c.rank() as u64 * 37) % 11));
+                let mine = payload(c.rank());
+                let lens: Vec<usize> = if with {
+                    c.allgatherv_with(mine, |all| all.iter().map(|b| b.len()).collect::<Vec<_>>())
+                        .to_vec()
+                } else {
+                    c.allgatherv(mine).iter().map(|b| b.len()).collect()
+                };
+                assert_eq!(lens, (0..n).map(|r| payload(r).len()).collect::<Vec<_>>());
+                c.now().0
+            });
+            r.results
+        };
+        for (cfg, want) in pinned {
+            for with in [false, true] {
+                assert_eq!(clocks(&cfg, 9, |r| vec![r as u8; 8 * (r % 4)], with), want);
+            }
+            // All-empty payloads and a 1-rank world price alike too.
+            for n in [1, 9] {
+                let empty = |_| Vec::new();
+                assert_eq!(clocks(&cfg, n, empty, true), clocks(&cfg, n, empty, false));
+            }
+        }
+    }
+
+    #[test]
+    fn allgatherv_with_runs_its_function_once_and_shares_the_result() {
+        let calls = AtomicUsize::new(0);
+        let w = World::new(16, NetConfig::smp_cluster(16, 4));
+        let r = w.run(|c| {
+            let mut shared = Vec::new();
+            for round in 0..3u8 {
+                let sum = c.allgatherv_with(vec![c.rank() as u8 + round], |all| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    all.iter().map(|b| b[0] as u64).sum::<u64>()
+                });
+                shared.push(sum);
+            }
+            shared
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "once per collective");
+        for (round, sum) in r.results[0].iter().enumerate() {
+            assert_eq!(**sum, (0..16u64).sum::<u64>() + 16 * round as u64);
+        }
+        for per in &r.results {
+            for (mine, first) in per.iter().zip(&r.results[0]) {
+                assert!(Arc::ptr_eq(mine, first), "one result for every rank");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_alltoallv_routes_and_keeps_its_clocks() {
+        // 64 ranks, ~92% empty pairs. Every payload must reach its
+        // destination, and the completion clocks are pinned: empty pairs
+        // are still priced, in the same order.
+        let n = 64;
+        let sends = |src: usize, dst: usize| (src + 2 * dst).is_multiple_of(13);
+        let payload =
+            |src: usize, dst: usize| vec![(src * 7 + dst) as u8; 64 * (1 + (src ^ dst) % 9)];
+        let empty = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d)))
+            .filter(|&(s, d)| !sends(s, d))
+            .count();
+        assert!(empty * 10 >= n * n * 9, "{empty} of {} pairs empty", n * n);
+        let w = World::new(n, NetConfig::smp_cluster(n, 8));
+        let r = w.run(|c| {
+            let me = c.rank();
+            c.compute(SimDur::from_micros((me as u64 * 37) % 23));
+            let data: Vec<Vec<u8>> = (0..n)
+                .map(|dst| {
+                    if sends(me, dst) {
+                        payload(me, dst)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect();
+            let got = c.alltoallv(data);
+            (c.now().0, got)
+        });
+        for (dst, (_, per_src)) in r.results.iter().enumerate() {
+            for (src, d) in per_src.iter().enumerate() {
+                let want = if sends(src, dst) {
+                    payload(src, dst)
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(d, &want, "src {src} dst {dst}");
+            }
+        }
+        let clocks: Vec<u64> = r.results.iter().map(|(t, _)| *t).collect();
+        assert_eq!(clocks, SPARSE_ALLTOALLV_CLOCKS);
+        assert_eq!(r.makespan.0, 2_010_526);
+    }
+
+    /// Per-rank completion clocks (ns) of `sparse_alltoallv_routes_and_keeps_its_clocks`.
+    const SPARSE_ALLTOALLV_CLOCKS: [u64; 64] = [
+        1982886, 1980901, 1984886, 1984886, 1985526, 1990317, 2000901, 2004886, 1982886, 1982181,
+        1985708, 1985708, 1985708, 2000901, 2000901, 2004886, 1982886, 1984588, 1985708, 1985708,
+        1986668, 2000901, 2005228, 2007797, 1986677, 1987797, 1987797, 1987797, 1987797, 2005228,
+        2007317, 2007797, 1986677, 1988917, 1988917, 1991006, 1991006, 2006677, 2006677, 2007797,
+        1986677, 1987961, 1990041, 1992601, 1991321, 2006677, 2010526, 2010526, 1989881, 1990526,
+        1990526, 1990526, 1990526, 2009886, 2009886, 2009886, 1988526, 1988206, 1984886, 1985846,
+        1985846, 1985366, 1990317, 2004886,
+    ];
 
     #[test]
     fn gather_root_cost_grows_with_ranks() {

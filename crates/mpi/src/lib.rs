@@ -15,6 +15,15 @@
 //! ordered section, then releases every rank at its computed completion
 //! time. This keeps event counts low while remaining mechanistic about
 //! ports and latencies.
+//!
+//! The release stores every peer's result first, drops the
+//! collective-epoch lock, and then wakes all peers with one
+//! [`Ctx::unpark_all`] — one scheduler lock for the batch, with the
+//! notifications sent after unlocking — so no woken rank runs into a
+//! lock its waker still holds. [`Comm::allgatherv_with`] goes one step
+//! further for results every rank would compute identically (the
+//! sample sort's splitters): the last arriver runs the function once
+//! inside the pattern and every rank gets a shared `Arc` of the result.
 
 #![forbid(unsafe_code)]
 
@@ -448,16 +457,21 @@ impl<'a> Comm<'a> {
             let outs = pattern(&mut net, inputs);
             drop(net);
             assert_eq!(outs.len(), n, "pattern returns one entry per rank");
+            // Release: every result is stored first, then the epoch lock
+            // is dropped, then all peers wake under one scheduler lock.
+            let mut wakes = Vec::with_capacity(n - 1);
             let mut mine = None;
             for (r, (ct, o)) in outs.into_iter().enumerate() {
                 if r == me {
                     mine = Some((ct, o));
                 } else {
                     ep.results[r] = Some((ct, Box::new(o)));
-                    ep.npending_results += 1;
-                    self.ctx.unpark(r, ct);
+                    wakes.push((r, ct));
                 }
             }
+            ep.npending_results = wakes.len();
+            drop(coll);
+            self.ctx.unpark_all(wakes);
             let (ct, o) = mine.expect("own result present");
             (ct, Some(o))
         });

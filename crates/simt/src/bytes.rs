@@ -41,31 +41,33 @@ pub fn reset_copied_bytes() {
 /// An immutable, cheaply clone-able window into a shared byte buffer.
 ///
 /// Backed by `Arc<Vec<u8>>` plus an `(offset, len)` window, so
-/// [`Bytes::slice`] and `Clone` never touch the payload. `Deref` to
+/// [`Bytes::slice`] and `Clone` never touch the payload. An empty
+/// buffer holds no `Arc` at all, so creating, cloning and dropping one
+/// never allocates — collectives build O(P²) of them. `Deref` to
 /// `[u8]` makes every read-only `&[u8]` API accept a `&Bytes` via
 /// coercion.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Bytes {
-    buf: Arc<Vec<u8>>,
+    /// `None` exactly when the window is empty.
+    buf: Option<Arc<Vec<u8>>>,
     off: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation of payload).
+    /// An empty buffer. Allocation-free.
     pub fn new() -> Bytes {
-        Bytes {
-            buf: Arc::new(Vec::new()),
-            off: 0,
-            len: 0,
-        }
+        Bytes::default()
     }
 
     /// Wrap an owned vector without copying.
     pub fn from_vec(v: Vec<u8>) -> Bytes {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
         Bytes {
-            buf: Arc::new(v),
+            buf: Some(Arc::new(v)),
             off: 0,
             len,
         }
@@ -89,40 +91,44 @@ impl Bytes {
     /// A zero-copy sub-window. Panics if the range is out of bounds.
     pub fn slice(&self, r: Range<usize>) -> Bytes {
         assert!(r.start <= r.end && r.end <= self.len, "slice out of range");
+        if r.is_empty() {
+            return Bytes::new();
+        }
         Bytes {
-            buf: Arc::clone(&self.buf),
+            buf: self.buf.clone(),
             off: self.off + r.start,
             len: r.end - r.start,
         }
     }
 
     /// Recover an owned `Vec<u8>`. Zero-copy when this handle is the
-    /// only owner and spans the whole buffer; otherwise a counted copy.
+    /// only owner and spans the whole buffer (or is empty); otherwise a
+    /// counted copy.
     pub fn into_vec(self) -> Vec<u8> {
-        if self.off == 0 && self.len == self.buf.len() {
-            match Arc::try_unwrap(self.buf) {
+        let Some(buf) = self.buf else {
+            return Vec::new();
+        };
+        if self.off == 0 && self.len == buf.len() {
+            match Arc::try_unwrap(buf) {
                 Ok(v) => return v,
                 Err(buf) => {
                     count_copy(self.len);
-                    return buf[self.off..self.off + self.len].to_vec();
+                    return buf[..].to_vec();
                 }
             }
         }
         count_copy(self.len);
-        self.buf[self.off..self.off + self.len].to_vec()
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Bytes {
-        Bytes::new()
+        buf[self.off..self.off + self.len].to_vec()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        match &self.buf {
+            Some(buf) => &buf[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 }
 
@@ -238,6 +244,31 @@ mod tests {
         assert_eq!(b, b"payload".to_vec());
         assert_eq!(b.slice(0..3), b"pay");
         assert_ne!(b, b"other..");
+    }
+
+    #[test]
+    fn every_empty_buffer_is_the_same_allocation_free_value() {
+        let full = Bytes::from_vec(vec![1, 2, 3, 4]);
+        let empties = [
+            Bytes::new(),
+            Bytes::from_vec(vec![]),
+            Bytes::from_vec(Vec::with_capacity(64)),
+            full.slice(2..2),
+            full.slice(4..4),
+            Bytes::default(),
+        ];
+        for e in &empties {
+            assert!(e.buf.is_none(), "an empty buffer holds no Arc");
+            assert!(e.is_empty());
+            assert_eq!(&e[..], &[] as &[u8]);
+            assert_eq!(e, &empties[0]);
+        }
+        assert_ne!(full, empties[0]);
+        let before = copied_bytes();
+        for e in empties {
+            assert_eq!(e.into_vec(), Vec::<u8>::new());
+        }
+        assert_eq!(copied_bytes(), before);
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //!
 //! Blocking (e.g. a receive with no matching message) uses
 //! [`Ctx::park`] / [`Ctx::unpark`] with one-shot permit semantics, so a
-//! wake that races ahead of the sleep is never lost.
+//! wake that races ahead of the sleep is never lost. A collective's
+//! release wakes all its peers with one [`Ctx::unpark_all`]: one
+//! scheduler lock for the whole batch, notifications after unlocking.
 
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::time::{SimDur, SimTime};
@@ -475,33 +477,51 @@ impl Ctx {
     }
 
     /// Wake `target` (or post a permit if it has not parked yet), with its
-    /// clock raised to at least `at`. Call this from inside an ordered
-    /// section so wakes obey the global event order.
+    /// clock raised to at least `at`: the one-element [`Ctx::unpark_all`].
     pub fn unpark(&self, target: Rank, at: SimTime) {
+        self.unpark_all([(target, at)]);
+    }
+
+    /// Wake every `(target, at)` under one scheduler lock. A parked
+    /// target gets its clock raised to at least `at` and rejoins the
+    /// priority index; a target that has not parked yet gets a permit
+    /// instead, which its next [`Ctx::park`] consumes. The condvar
+    /// notifications go out after the lock is released, so a woken rank
+    /// never runs straight into a held scheduler lock. Call this from
+    /// inside an ordered section so wakes obey the global event order.
+    pub fn unpark_all(&self, wakes: impl IntoIterator<Item = (Rank, SimTime)>) {
+        let mut woken = Vec::new();
         let mut g = self.shared.sched();
-        match g.state[target] {
-            RankState::Parked => {
-                if self.shared.clock(target) < at {
-                    self.shared.set_clock(target, at);
+        for (target, at) in wakes {
+            match g.state[target] {
+                RankState::Parked => {
+                    if self.shared.clock(target) < at {
+                        self.shared.set_clock(target, at);
+                    }
+                    g.state[target] = RankState::Free;
+                    g.live_unparked += 1;
+                    if g.index.set(target, (self.shared.clock(target), target)) {
+                        g.index_updates += 1;
+                    }
+                    woken.push(target);
                 }
-                g.state[target] = RankState::Free;
-                g.live_unparked += 1;
-                if g.index.set(target, (self.shared.clock(target), target)) {
-                    g.index_updates += 1;
-                }
-                // Re-inserting a key can only lower the index minimum, so
-                // no ordered waiter becomes grantable: waking the target
-                // alone suffices.
-                g.wakeups += 1;
-                self.shared.cvs[target].notify_one();
-            }
-            RankState::Done => panic!("unpark of finished rank {target}"),
-            _ => {
-                let p = g.permits[target].get_or_insert(at);
-                if *p < at {
-                    *p = at;
+                RankState::Done => panic!("unpark of finished rank {target}"),
+                _ => {
+                    let p = g.permits[target].get_or_insert(at);
+                    if *p < at {
+                        *p = at;
+                    }
                 }
             }
+        }
+        // Re-inserting keys can only lower the index minimum, so no
+        // ordered waiter becomes grantable: waking the targets suffices.
+        // A parked rank re-checks its state under the lock, so a notify
+        // that lands after it already saw `Free` is a harmless hint.
+        g.wakeups += woken.len() as u64;
+        drop(g);
+        for r in woken {
+            self.shared.cvs[r].notify_one();
         }
     }
 

@@ -122,6 +122,98 @@ mod tests {
     }
 
     #[test]
+    fn batch_wake_raises_clocks_and_reindexes() {
+        // Ranks 1..=3 park at clock 0; rank 0 wakes them all at once at
+        // distinct times. Each must resume at its own `at`, and their
+        // next ordered sections must follow the new keys, not rank order.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let r = run(4, |ctx| {
+            let me = ctx.rank();
+            if me == 0 {
+                ctx.advance(SimDur::from_micros(1));
+                ctx.ordered_read(|t| {
+                    ctx.unpark_all([
+                        (1, t + SimDur::from_micros(30)),
+                        (2, t + SimDur::from_micros(10)),
+                        (3, t + SimDur::from_micros(20)),
+                    ])
+                });
+                ctx.advance(SimDur::from_micros(100));
+            } else {
+                ctx.park();
+            }
+            let woke = ctx.now();
+            ctx.ordered_read(|_| log.lock().unwrap().push(me));
+            woke
+        });
+        let us = |n: u64| SimTime(n * 1_000);
+        assert_eq!(r.results, vec![us(101), us(31), us(11), us(21)]);
+        assert_eq!(*log.lock().unwrap(), vec![2, 3, 1, 0]);
+        assert_eq!(r.sched.wakeups, r.sched.handoffs + 3);
+    }
+
+    #[test]
+    fn batch_wake_before_park_posts_a_permit() {
+        // Rank 2 is parked when rank 0's batch wake runs; rank 1 is
+        // still waiting for its own ordered grant, so it gets a permit
+        // (the larger of its two wake times) and its later park
+        // consumes it without blocking.
+        let r = run(3, |ctx| match ctx.rank() {
+            0 => {
+                ctx.advance(SimDur::from_micros(1));
+                ctx.ordered_read(|t| {
+                    ctx.unpark_all([
+                        (1, t + SimDur::from_micros(8)),
+                        (2, t + SimDur::from_micros(3)),
+                        (1, t + SimDur::from_micros(6)),
+                    ])
+                });
+                ctx.now()
+            }
+            1 => {
+                ctx.advance(SimDur::from_micros(5));
+                ctx.ordered_read(|_| ());
+                ctx.park()
+            }
+            _ => ctx.park(),
+        });
+        assert_eq!(
+            r.results,
+            vec![SimTime(1_000), SimTime(9_000), SimTime(4_000)]
+        );
+    }
+
+    #[test]
+    fn batch_wake_then_all_parked_is_a_typed_deadlock() {
+        // Rank 0 wakes only rank 1; then every rank parks with nobody
+        // left to wake it.
+        let res = std::panic::catch_unwind(|| {
+            run(3, |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.advance(SimDur::from_micros(1));
+                    ctx.ordered_read(|t| ctx.unpark_all([(1, t)]));
+                } else if ctx.rank() == 1 {
+                    ctx.park();
+                }
+                ctx.park();
+            })
+        });
+        let err = res.expect_err("deadlock must panic");
+        let d = err
+            .downcast_ref::<Deadlock>()
+            .expect("deadlock panics carry the typed Deadlock payload");
+        assert!(d.0.contains("simulated deadlock"), "message: {}", d.0);
+        for rank in 0..3 {
+            assert!(
+                d.0.contains(&format!("rank {rank}: Parked")),
+                "state dump lost rank {rank}:\n{}",
+                d.0
+            );
+        }
+        assert!(d.0.contains("rank 1: Parked at 0.000001s"), "{}", d.0);
+    }
+
+    #[test]
     fn advance_to_is_monotonic() {
         run(1, |ctx| {
             ctx.advance_to(SimTime(500));

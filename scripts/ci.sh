@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gate: lint (tier-2), the tier-1 build+test suite, every crate's
-# unit tests, the runtime correctness checker's integration tests, and
-# the static planner's self-verification (exact-once, lockstep,
-# plan<->trace conformance over the example configurations). Run from
-# anywhere; fails on the first violation.
+# unit tests, the benchmark package's tests, the runtime correctness
+# checker's integration tests, and the static planner's self-verification
+# (exact-once, lockstep, plan<->trace conformance over the example
+# configurations). Run from anywhere; fails on the first violation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,9 @@ cargo test -q
 
 echo "== workspace tests: cargo test --workspace -q (every crate's unit tests)"
 cargo test --workspace -q
+
+echo "== benchmark package tests (its phase-split driver repeats Experiment::run through the public API)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== checker integration tests"
 cargo test -q --test checker

@@ -10,6 +10,7 @@ use amrio::enzo::{
 };
 use amrio::fault::{window_secs, FaultPlan};
 use amrio::simt::SimTime;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 const EVOLVE_CYCLES: u32 = 2;
@@ -172,7 +173,7 @@ fn crash_recovery_is_deterministic_and_byte_identical() {
     // The clean generational baseline: dump + commit every cycle.
     let clean = Experiment::new(&platform, &cfg, &MpiIoOptimized)
         .cycles(EVOLVE_CYCLES)
-        .dump_every(1)
+        .dump_every(NonZeroU32::new(1).unwrap())
         .check(CheckMode::Strict)
         .run();
     assert!(clean.report.verified);
@@ -182,7 +183,7 @@ fn crash_recovery_is_deterministic_and_byte_identical() {
         let plan = Arc::new(FaultPlan::new().with_crash(t));
         Experiment::new(&platform, &cfg, &MpiIoOptimized)
             .cycles(EVOLVE_CYCLES)
-            .dump_every(1)
+            .dump_every(NonZeroU32::new(1).unwrap())
             .check(CheckMode::Strict)
             .faults(plan)
             .run()

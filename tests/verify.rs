@@ -22,6 +22,7 @@ use amrio::simt::SimTime;
 use amrio::tune::{lint, lint_faults};
 use amrio::verify::mutate::corpus;
 use amrio::verify::{replay, runtime_kind, verify, Verdict, VerifyInput, VerifyStatic};
+use std::num::NonZeroU32;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -245,7 +246,7 @@ fn pre_commit_crash_restarts_from_scratch() {
     let faults = Arc::new(FaultPlan::new().with_crash(SimTime(1_000)));
     let out = Experiment::new(&platform, &cfg, &MpiIoOptimized)
         .cycles(2)
-        .dump_every(1)
+        .dump_every(NonZeroU32::new(1).unwrap())
         .faults(faults)
         .run();
     let rec = out.recovery.expect("the armed crash must fire");
