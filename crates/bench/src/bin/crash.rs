@@ -6,8 +6,9 @@
 //! the strict checker, and the final image is byte-identical to the
 //! crash-free generational run.
 //!
-//! `--smoke` runs the reduced sweep used as the CI gate; the full sweep
-//! covers all three I/O strategies and writes `results/crash.csv`.
+//! The sweep covers all three I/O strategies and writes
+//! `results/crash.csv`; CI runs it and requires the committed CSV to
+//! regenerate byte-identically.
 
 use amrio_bench::{crash_sweep, CrashCell};
 use amrio_enzo::{
@@ -17,6 +18,7 @@ use amrio_enzo::{
 
 const NRANKS: usize = 4;
 const ROOT_N: u64 = 16;
+const POINTS: usize = 16;
 const SEED: u64 = 0x0c0a_57a1_c0de_cafe;
 
 struct Sweep {
@@ -24,20 +26,15 @@ struct Sweep {
     cells: Vec<CrashCell>,
 }
 
-fn run_sweeps(smoke: bool) -> Vec<Sweep> {
-    let points = if smoke { 8 } else { 16 };
+fn run_sweeps() -> Vec<Sweep> {
     let platform = Platform::ibm_sp2(NRANKS);
     let cfg = SimConfig::new(ProblemSize::Custom(ROOT_N), NRANKS);
     let hdf5 = Hdf5Parallel::default();
-    let strategies: Vec<&dyn IoStrategy> = if smoke {
-        vec![&MpiIoOptimized]
-    } else {
-        vec![&Hdf4Serial, &MpiIoOptimized, &hdf5]
-    };
+    let strategies: [&dyn IoStrategy; 3] = [&Hdf4Serial, &MpiIoOptimized, &hdf5];
     strategies
         .into_iter()
         .map(|s| {
-            let (clean, cells) = crash_sweep(&platform, &cfg, s, points, SEED);
+            let (clean, cells) = crash_sweep(&platform, &cfg, s, POINTS, SEED);
             Sweep { clean, cells }
         })
         .collect()
@@ -88,16 +85,10 @@ fn print_sweeps(sweeps: &[Sweep]) {
     }
 }
 
-fn write_csv(sweeps: &[Sweep], smoke: bool) {
+fn write_csv(sweeps: &[Sweep]) {
     use std::io::Write;
     std::fs::create_dir_all("results").ok();
-    // The smoke subset writes beside the committed full sweep so CI
-    // runs never clobber it.
-    let path = if smoke {
-        "results/crash_smoke.csv"
-    } else {
-        "results/crash.csv"
-    };
+    let path = "results/crash.csv";
     let mut f = std::fs::File::create(path).expect("create results csv");
     writeln!(
         f,
@@ -136,10 +127,9 @@ fn write_csv(sweeps: &[Sweep], smoke: bool) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sweeps = run_sweeps(smoke);
+    let sweeps = run_sweeps();
     print_sweeps(&sweeps);
-    write_csv(&sweeps, smoke);
+    write_csv(&sweeps);
 
     // Gate: every cell must verify bit-for-bit under the strict
     // checker; every fired crash must resume from a manifest-verified

@@ -150,7 +150,8 @@ pub struct StaticInputs<'a> {
 
 /// One configurable experiment run. See the module docs for the shape;
 /// [`Experiment::run`] executes init → refine → `cycles` evolve steps →
-/// timed checkpoint write → timed restart read → verification, with the
+/// timed checkpoint write → timed restart read → verification (one such
+/// dump per generation under [`Experiment::dump_every`]), with the
 /// requested extras attached.
 pub struct Experiment<'a> {
     platform: &'a Platform,
@@ -233,12 +234,11 @@ impl<'a> Experiment<'a> {
     }
 
     /// Dump (and atomically commit) a checkpoint generation every `k`
-    /// cycles instead of one dump at the end. Selects the generational
-    /// run path: each dump is published by a self-checksummed manifest
-    /// written in a single request, and the in-memory state is replaced
-    /// by the dump's own restart read — so a crashed run can resume
-    /// from the newest committed generation on a bit-identical state
-    /// trajectory.
+    /// cycles instead of one dump at the end. Each dump is committed by
+    /// a self-checksummed manifest written in a single request, and the
+    /// in-memory state is replaced by the dump's own restart read — so
+    /// a crashed run can resume from the newest committed generation on
+    /// a bit-identical state trajectory.
     /// A zero interval is unrepresentable here; the data-driven path
     /// reports it as `SpecError::ZeroDumpEvery` at validation time.
     pub fn dump_every(mut self, k: NonZeroU32) -> Self {
@@ -264,161 +264,19 @@ impl<'a> Experiment<'a> {
         }
     }
 
-    /// Execute the run.
+    /// Execute the run: one timed checkpoint dump and restart read per
+    /// generation, a generation every [`Experiment::dump_every`] cycles
+    /// (without it, one generation of all `cycles`).
     ///
-    /// Without [`Experiment::dump_every`] and without a crash armed in
-    /// the fault plan this is the exact legacy path — timings and
-    /// checkpoint bytes are bit-identical to what it always produced.
-    /// Otherwise the generational path runs, and an armed
-    /// [`Crashed`] fault triggers restart-from-latest recovery.
+    /// A generation is committed through its manifest iff `dump_every`
+    /// is set or the fault plan arms a crash. Without either, the run is
+    /// the paper's single dump: no manifest is written, and its timings
+    /// and checkpoint bytes are the golden ones. An armed [`Crashed`]
+    /// fault triggers restart-from-latest recovery: when the crash cuts
+    /// the world short, the file-system image is salvaged and scanned
+    /// for the newest committed generation, and the run restarts from
+    /// it until it completes.
     pub fn run(self) -> RunOutcome {
-        let crash_armed = self.faults.as_ref().is_some_and(|p| p.crash_at().is_some());
-        if self.dump_every.is_none() && !crash_armed {
-            self.run_exact()
-        } else {
-            self.run_generational()
-        }
-    }
-
-    /// The legacy single-dump measurement loop, preserved bit-for-bit.
-    fn run_exact(self) -> RunOutcome {
-        let Experiment {
-            platform,
-            cfg,
-            strategy,
-            cycles,
-            check,
-            probe,
-            faults,
-            retry,
-            advisory,
-            dump_every: _,
-        } = self;
-        assert_endpoints(platform, cfg);
-        let mode = match (check, probe) {
-            (Some(m), _) => Some(m),
-            (None, true) => Some(CheckMode::Log),
-            (None, false) => None,
-        };
-        let checker = mode.map(|m| Arc::new(Checker::new(m, cfg.nranks)));
-
-        let mut world = World::new(cfg.nranks, platform.net.clone());
-        let mut io = MpiIo::new(platform.fs.clone());
-        if let Some(policy) = retry {
-            io.set_retry_policy(policy);
-        }
-        if let Some(adv) = advisory {
-            io.set_advisory(adv);
-        }
-        if let Some(plan) = &faults {
-            world = world.with_faults(Arc::clone(plan));
-            io.attach_faults(Arc::clone(plan));
-        }
-        if let Some(ck) = &checker {
-            if probe {
-                ck.record_collectives();
-            }
-            world = world.with_checker(Arc::clone(ck));
-            io.attach_checker(ck);
-        }
-
-        let report = world.run(|comm| {
-            let mut st = SimState::init(comm, cfg.clone());
-            rebuild_refinement(comm, &mut st);
-            for _ in 0..cycles {
-                evolve_step(comm, &mut st, 1.0);
-            }
-            rebuild_refinement(comm, &mut st);
-
-            let (wt, wep) = timed(comm, || {
-                let e0 = comm.coll_epoch();
-                strategy.write_checkpoint(comm, &io, &st, 0);
-                (e0, comm.coll_epoch())
-            });
-            let d0 = global_digest(comm, &st);
-            let (rt, (rep, st2)) = timed(comm, || {
-                let e0 = comm.coll_epoch();
-                let st2 = strategy.read_checkpoint(comm, &io, &st.cfg, 0);
-                ((e0, comm.coll_epoch()), st2)
-            });
-            let d1 = global_digest(comm, &st2);
-            (
-                wt,
-                rt,
-                d0 == d1,
-                st.hierarchy.clone(),
-                st.time,
-                st.cycle,
-                wep,
-                rep,
-            )
-        });
-
-        let makespan = report.makespan;
-        let ordered_ops = report.ordered_ops;
-        let sched = report.sched;
-        let (wt, rt, verified, hierarchy, time, cycle, write_epochs, read_epochs) = report
-            .results
-            .into_iter()
-            .next()
-            .expect("at least one rank");
-        let (stats, files, events, image_digest) = {
-            let fs = io.fs();
-            let fs = fs.lock();
-            let (files, events) = fs.trace_snapshot();
-            (fs.stats, files, events, fs.image_digest())
-        };
-        let resilience = faults
-            .as_ref()
-            .map(|p| p.report(makespan))
-            .unwrap_or_default();
-        let check = checker.as_ref().map(|ck| ck.finalize());
-        let probe = probe.then(|| RunProbe {
-            nranks: cfg.nranks,
-            write_epochs,
-            read_epochs,
-            collectives: checker
-                .as_ref()
-                .map(|ck| ck.collective_log())
-                .unwrap_or_default(),
-            files,
-            events,
-            hierarchy: hierarchy.clone(),
-            time,
-            cycle,
-        });
-        RunOutcome {
-            report: RunReport {
-                platform: platform.name,
-                strategy: strategy.name(),
-                problem: cfg.problem.label(),
-                nranks: cfg.nranks,
-                write_time: wt.as_secs_f64(),
-                read_time: rt.as_secs_f64(),
-                bytes_written: stats.bytes_written,
-                bytes_read: stats.bytes_read,
-                grids: hierarchy.grids.len(),
-                max_level: hierarchy.max_level(),
-                verified,
-                makespan: makespan.as_secs_f64(),
-                image_digest,
-                resilience,
-                ordered_ops,
-                sched,
-            },
-            check,
-            probe,
-            recovery: None,
-        }
-    }
-
-    /// The generational (crash-consistent) path: dump a checkpoint
-    /// generation every `dump_every` cycles, commit each atomically via
-    /// its manifest, and — when a simulated [`Crashed`] panic cuts the
-    /// world short — salvage the file-system image, scan it for the
-    /// newest committed generation, and restart from it until the run
-    /// completes.
-    fn run_generational(self) -> RunOutcome {
         let Experiment {
             platform,
             cfg,
@@ -437,8 +295,10 @@ impl<'a> Experiment<'a> {
             (None, true) => Some(CheckMode::Log),
             (None, false) => None,
         };
+        let crash_armed = faults.as_ref().is_some_and(|p| p.crash_at().is_some());
+        let commit = dump_every.is_some() || crash_armed;
         let k = dump_every.map_or(cycles, NonZeroU32::get).max(1) as u64;
-        if faults.as_ref().is_some_and(|p| p.crash_at().is_some()) {
+        if crash_armed {
             // Crashes unwind rank threads by design; keep the default
             // panic hook from reporting the expected payloads.
             amrio_fault::silence_crash_panics();
@@ -505,66 +365,64 @@ impl<'a> Experiment<'a> {
                     // verification pass and finish byte-identical.
                     if st.cycle >= cycles as u64 && next_gen > 0 {
                         let d0 = global_digest(comm, &st);
-                        let (rt, (rep, st2)) = timed(comm, || {
+                        let (read_time, (read_epochs, st2)) = timed(comm, || {
                             let e0 = comm.coll_epoch();
                             let st2 = strategy.read_checkpoint(comm, &io, cfg, next_gen - 1);
                             ((e0, comm.coll_epoch()), st2)
                         });
-                        let verified = d0 == global_digest(comm, &st2);
                         let e = comm.coll_epoch();
-                        return (
-                            SimDur::ZERO,
-                            rt,
-                            verified,
-                            st2.hierarchy.clone(),
-                            st2.time,
-                            st2.cycle,
-                            (e, e),
-                            rep,
+                        return RankResult {
+                            write_time: SimDur::ZERO,
+                            read_time,
+                            verified: d0 == global_digest(comm, &st2),
+                            hierarchy: st2.hierarchy,
+                            time: st2.time,
+                            cycle: st2.cycle,
+                            write_epochs: (e, e),
+                            read_epochs,
                             resume_verified,
-                        );
+                        };
                     }
-                    let (wt, rt, wep, rep, verified) = loop {
+                    loop {
                         let todo = (cycles as u64).saturating_sub(st.cycle).min(k);
-                        if todo > 0 {
-                            for _ in 0..todo {
-                                evolve_step(comm, &mut st, 1.0);
-                            }
-                            rebuild_refinement(comm, &mut st);
+                        for _ in 0..todo {
+                            evolve_step(comm, &mut st, 1.0);
                         }
-                        let (w, we) = timed(comm, || {
+                        rebuild_refinement(comm, &mut st);
+                        let (write_time, write_epochs) = timed(comm, || {
                             let e0 = comm.coll_epoch();
                             strategy.write_checkpoint(comm, &io, &st, gen);
                             (e0, comm.coll_epoch())
                         });
                         let d0 = global_digest(comm, &st);
-                        commit_generation(comm, &io, gen, &st, d0);
-                        let (r, (re, st2)) = timed(comm, || {
+                        if commit {
+                            commit_generation(comm, &io, gen, &st, d0);
+                        }
+                        let (read_time, (read_epochs, st2)) = timed(comm, || {
                             let e0 = comm.coll_epoch();
                             let st2 = strategy.read_checkpoint(comm, &io, cfg, gen);
                             ((e0, comm.coll_epoch()), st2)
                         });
-                        let d1 = global_digest(comm, &st2);
+                        let verified = d0 == global_digest(comm, &st2);
+                        if st2.cycle >= cycles as u64 {
+                            break RankResult {
+                                write_time,
+                                read_time,
+                                verified,
+                                hierarchy: st.hierarchy,
+                                time: st.time,
+                                cycle: st.cycle,
+                                write_epochs,
+                                read_epochs,
+                                resume_verified,
+                            };
+                        }
                         // Read-back replacement: continue from the bytes
                         // on disk, so a later crash-resume of this
                         // generation retraces the identical trajectory.
                         st = st2;
                         gen += 1;
-                        if st.cycle >= cycles as u64 {
-                            break (w, r, we, re, d0 == d1);
-                        }
-                    };
-                    (
-                        wt,
-                        rt,
-                        verified,
-                        st.hierarchy.clone(),
-                        st.time,
-                        st.cycle,
-                        wep,
-                        rep,
-                        resume_verified,
-                    )
+                    }
                 })
             }));
             match attempt {
@@ -613,12 +471,11 @@ impl<'a> Experiment<'a> {
         let makespan = report.makespan;
         let ordered_ops = report.ordered_ops;
         let sched = report.sched;
-        let (wt, rt, verified, hierarchy, time, cycle, write_epochs, read_epochs, resume_verified) =
-            report
-                .results
-                .into_iter()
-                .next()
-                .expect("at least one rank");
+        let rank0 = report
+            .results
+            .into_iter()
+            .next()
+            .expect("at least one rank");
         let (stats, files, events, image_digest) = {
             let fs = io.fs();
             let fs = fs.lock();
@@ -641,46 +498,62 @@ impl<'a> Experiment<'a> {
             resumed_generation: resume.as_ref().map(|m| m.generation),
             resumed_cycle: resume.as_ref().map(|m| m.cycle).unwrap_or(0),
             torn_generations: torn,
-            resume_verified,
+            resume_verified: rank0.resume_verified,
         });
+        let report = RunReport {
+            platform: platform.name,
+            strategy: strategy.name(),
+            problem: cfg.problem.label(),
+            nranks: cfg.nranks,
+            write_time: rank0.write_time.as_secs_f64(),
+            read_time: rank0.read_time.as_secs_f64(),
+            bytes_written: stats.bytes_written,
+            bytes_read: stats.bytes_read,
+            grids: rank0.hierarchy.grids.len(),
+            max_level: rank0.hierarchy.max_level(),
+            verified: rank0.verified,
+            makespan: makespan.as_secs_f64(),
+            image_digest,
+            resilience,
+            ordered_ops,
+            sched,
+        };
         let probe = probe.then(|| RunProbe {
             nranks: cfg.nranks,
-            write_epochs,
-            read_epochs,
+            write_epochs: rank0.write_epochs,
+            read_epochs: rank0.read_epochs,
             collectives: checker
                 .as_ref()
                 .map(|ck| ck.collective_log())
                 .unwrap_or_default(),
             files,
             events,
-            hierarchy: hierarchy.clone(),
-            time,
-            cycle,
+            hierarchy: rank0.hierarchy,
+            time: rank0.time,
+            cycle: rank0.cycle,
         });
         RunOutcome {
-            report: RunReport {
-                platform: platform.name,
-                strategy: strategy.name(),
-                problem: cfg.problem.label(),
-                nranks: cfg.nranks,
-                write_time: wt.as_secs_f64(),
-                read_time: rt.as_secs_f64(),
-                bytes_written: stats.bytes_written,
-                bytes_read: stats.bytes_read,
-                grids: hierarchy.grids.len(),
-                max_level: hierarchy.max_level(),
-                verified,
-                makespan: makespan.as_secs_f64(),
-                image_digest,
-                resilience,
-                ordered_ops,
-                sched,
-            },
+            report,
             check,
             probe,
             recovery,
         }
     }
+}
+
+/// What each rank of the final incarnation reports: the last
+/// generation's timed dump and read-back, and the dumped state.
+struct RankResult {
+    write_time: SimDur,
+    read_time: SimDur,
+    /// The read-back reproduced the dumped state's digest.
+    verified: bool,
+    hierarchy: Hierarchy,
+    time: f64,
+    cycle: u64,
+    write_epochs: (u64, u64),
+    read_epochs: (u64, u64),
+    resume_verified: bool,
 }
 
 /// Compute endpoints precede any I/O server endpoints in the platform's

@@ -29,16 +29,6 @@ impl DiskParams {
     }
 }
 
-/// Counters kept per device.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DevStats {
-    pub requests: u64,
-    pub sequential_requests: u64,
-    pub bytes: u64,
-    /// Total time the device spent busy.
-    pub busy: SimDur,
-}
-
 /// One disk: a FIFO server with seek/sequentiality modeling.
 ///
 /// Requests must be submitted in nondecreasing time order (guaranteed when
@@ -49,7 +39,6 @@ pub struct BlockDev {
     next_free: SimTime,
     /// One past the last byte touched, for sequentiality detection.
     head: u64,
-    pub stats: DevStats,
 }
 
 impl BlockDev {
@@ -58,7 +47,6 @@ impl BlockDev {
             params,
             next_free: SimTime::ZERO,
             head: u64::MAX, // first access always seeks
-            stats: DevStats::default(),
         }
     }
 
@@ -89,8 +77,6 @@ impl BlockDev {
             } else {
                 self.params.seek
             };
-        } else {
-            self.stats.sequential_requests += 1;
         }
         cost += SimDur::transfer(len, self.params.bandwidth);
         if scale != 1.0 {
@@ -99,9 +85,6 @@ impl BlockDev {
         }
         self.next_free = start + cost;
         self.head = off + len;
-        self.stats.requests += 1;
-        self.stats.bytes += len;
-        self.stats.busy += cost;
         self.next_free
     }
 
@@ -138,7 +121,6 @@ mod tests {
         let t2 = d.access(1_000_000, 1_000_000, t1, false);
         let gap = (t2 - t1).as_secs_f64();
         assert!((gap - (0.0001 + 0.02)).abs() < 1e-6, "gap {gap}");
-        assert_eq!(d.stats.sequential_requests, 1);
     }
 
     #[test]
@@ -149,16 +131,6 @@ mod tests {
         let t2 = d.access(0, 1_000_000, SimTime(1), false);
         assert!(t2 > t1);
         assert!(t2 >= t1 + SimDur::from_millis(5));
-    }
-
-    #[test]
-    fn stats_track_bytes_and_busy() {
-        let mut d = dev();
-        d.access(0, 1000, SimTime::ZERO, false);
-        d.access(5000, 2000, SimTime::ZERO, false);
-        assert_eq!(d.stats.requests, 2);
-        assert_eq!(d.stats.bytes, 3000);
-        assert!(d.stats.busy > SimDur::ZERO);
     }
 
     #[test]

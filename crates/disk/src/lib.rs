@@ -15,7 +15,7 @@ pub mod presets;
 pub mod store;
 pub mod trace;
 
-pub use dev::{BlockDev, DevStats, DiskParams};
+pub use dev::{BlockDev, DiskParams};
 pub use fs::{FileId, FsConfig, FsStats, IoCompletion, IoOp, Pfs, Piece, Placement};
 pub use store::ExtentStore;
 pub use trace::{IoEvent, IoTrace, TraceReport};

@@ -35,8 +35,9 @@ cargo run --release -q -p amrio-bench --bin verify -- --smoke
 echo "== resilience fault-matrix smoke (fault injection + graceful degradation)"
 cargo run --release -q -p amrio-bench --bin resilience -- --smoke
 
-echo "== crash-point sweep smoke (atomic commit + restart-from-latest)"
-cargo run --release -q -p amrio-bench --bin crash -- --smoke
+echo "== crash-point sweep (atomic commit + restart-from-latest; committed CSV regenerates byte-identically)"
+cargo run --release -q -p amrio-bench --bin crash
+git diff --exit-code -- results/crash.csv
 
 echo "== selfbench smoke (wall-clock regression gate)"
 cargo run --release -q -p amrio-bench --bin selfbench -- --smoke --out /tmp/selfbench_smoke.json

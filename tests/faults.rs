@@ -230,9 +230,10 @@ fn crash_recovery_is_deterministic_and_byte_identical() {
     assert_eq!(early.report.image_digest, clean.report.image_digest);
 }
 
-/// A fault plan without a crash keeps the legacy single-dump path:
-/// the goldens of `empty_fault_plan_reproduces_goldens_exactly` remain
-/// in force, and `crash_at` stays unarmed.
+/// A fault plan without a crash commits nothing: without `dump_every`
+/// the run is the single dump, the goldens of
+/// `empty_fault_plan_reproduces_goldens_exactly` remain in force, and
+/// `crash_at` stays unarmed.
 #[test]
 fn crash_free_plans_keep_the_exact_path() {
     assert!(FaultPlan::new().crash_at().is_none());
@@ -241,6 +242,115 @@ fn crash_free_plans_keep_the_exact_path() {
     let out = run_sp2(&MpiIoOptimized, Some(plan));
     assert!(out.recovery.is_none(), "no crash, no recovery path");
     assert_eq!(out.report.image_digest, GOLDEN_MPIIO);
+}
+
+/// The single dump at `cycles = 0`, captured from the two-copy driver:
+/// `(image_digest, makespan, write_time, read_time)` bits.
+const ZERO_CYCLE_SINGLE_DUMP: (u64, u64, u64, u64) = (
+    0x32506e00c0cf2be3,
+    0x3fd128acf6b26836,
+    0x3fc09d888281355b,
+    0x3fc167ade2039e4e,
+);
+
+/// Every dump is preceded by a refinement rebuild, also at `cycles = 0`:
+/// the single dump reproduces its pinned figures, and a generational
+/// run of zero cycles dumps the same checkpoint (same timing, same
+/// dump-time hierarchy) plus its manifest.
+#[test]
+fn zero_cycle_dump_rebuilds_on_both_commit_settings() {
+    let platform = Platform::ibm_sp2(NRANKS);
+    let cfg = SimConfig::new(ProblemSize::Custom(ROOT_N), NRANKS);
+    let run = |dump_every: Option<u32>| {
+        let mut exp = Experiment::new(&platform, &cfg, &MpiIoOptimized)
+            .cycles(0)
+            .probe();
+        if let Some(k) = dump_every {
+            exp = exp.dump_every(NonZeroU32::new(k).unwrap());
+        }
+        let out = exp.run();
+        (
+            out.report,
+            out.probe.expect("probe was requested").hierarchy,
+        )
+    };
+    let (single, single_hierarchy) = run(None);
+    assert!(single.verified);
+    assert_eq!(
+        (
+            single.image_digest,
+            single.makespan.to_bits(),
+            single.write_time.to_bits(),
+            single.read_time.to_bits()
+        ),
+        ZERO_CYCLE_SINGLE_DUMP
+    );
+
+    let (generational, generational_hierarchy) = run(Some(1));
+    assert!(generational.verified);
+    assert_eq!(
+        generational.write_time.to_bits(),
+        single.write_time.to_bits(),
+        "a zero-cycle generation must dump the single dump's checkpoint"
+    );
+    assert_eq!(generational.grids, single.grids);
+    assert_eq!(generational.max_level, single.max_level);
+    assert_eq!(
+        generational_hierarchy, single_hierarchy,
+        "both runs must dump the same refined hierarchy (grid ids, boxes, owners)"
+    );
+}
+
+/// A crash armed without `dump_every` commits its one dump: a crash
+/// before that commit restarts from scratch, one after it resumes from
+/// generation 0, and both finish with the bytes of the crash-free run
+/// that commits every `cycles` cycles.
+#[test]
+fn crash_without_dump_every_commits_the_single_dump() {
+    let platform = Platform::ibm_sp2(NRANKS);
+    let cfg = SimConfig::new(ProblemSize::Custom(ROOT_N), NRANKS);
+    let clean = Experiment::new(&platform, &cfg, &MpiIoOptimized)
+        .cycles(EVOLVE_CYCLES)
+        .dump_every(NonZeroU32::new(EVOLVE_CYCLES).unwrap())
+        .check(CheckMode::Strict)
+        .probe()
+        .run();
+    assert!(clean.report.verified);
+    let probe = clean.probe.expect("probe was requested");
+    let manifest = probe
+        .files
+        .iter()
+        .find(|(path, _)| *path == amrio::recover::manifest_path(0))
+        .map(|&(_, id)| id)
+        .expect("the clean run commits generation 0");
+    let committed = probe
+        .events
+        .iter()
+        .filter(|e| e.file == manifest && e.write)
+        .map(|e| e.end)
+        .max()
+        .expect("the manifest is written");
+
+    let crashed_run = |t: SimTime| {
+        let plan = Arc::new(FaultPlan::new().with_crash(t));
+        Experiment::new(&platform, &cfg, &MpiIoOptimized)
+            .cycles(EVOLVE_CYCLES)
+            .check(CheckMode::Strict)
+            .faults(plan)
+            .run()
+    };
+    for (t, resumed) in [(SimTime(1), None), (SimTime(committed.0 + 1), Some(0))] {
+        let out = crashed_run(t);
+        let rec = out.recovery.as_ref().expect("the armed crash must fire");
+        assert_eq!(rec.resumed_generation, resumed, "crash at {t:?}");
+        assert!(rec.resume_verified, "crash at {t:?}");
+        assert!(out.report.verified, "crash at {t:?}");
+        assert!(out.check.as_ref().unwrap().is_clean(), "crash at {t:?}");
+        assert_eq!(
+            out.report.image_digest, clean.report.image_digest,
+            "crash at {t:?}: recovered run must finish with the committed run's bytes"
+        );
+    }
 }
 
 /// Per-rank compute stragglers dilate local work without breaking
