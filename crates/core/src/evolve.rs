@@ -88,12 +88,12 @@ pub fn migrate_particles(comm: &Comm, st: &mut SimState) {
         }
     }
 
-    let inbound = comm.alltoallv(outbound);
+    let inbound = comm.alltoallv(wire::non_empty(outbound));
     st.my_top.particles = keep_top;
     for (g, ps) in st.my_subgrids.iter_mut().zip(keep_sub) {
         g.particles = ps;
     }
-    for src in inbound {
+    for (_, src) in inbound {
         wire::read_tagged_particles(&src, |gid, rec| {
             let target = if gid == TOP_GRID {
                 &mut st.my_top.particles
@@ -135,6 +135,13 @@ fn refresh_particle_counts(comm: &Comm, st: &mut SimState) {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Clusterings run on this thread. Rank threads are fresh per run, so
+    /// a test sums this over ranks to count evaluations.
+    static CLUSTER_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Tear down and rebuild the refinement hierarchy from the current
 /// density field: flag cells, cluster them into boxes
 /// (Berger–Rigoutsos), balance with LPT, and redistribute particles to
@@ -163,17 +170,22 @@ pub fn rebuild_refinement(comm: &Comm, st: &mut SimState) {
         }
         comm.compute(SimDur::from_nanos(flags.len() as u64 * 4));
 
-        // Share flags; every rank clusters the identical global list.
-        let all = comm.allgatherv(wire::encode_flags(&flags));
-        let mut global_flags = Vec::new();
-        for part in &all {
-            global_flags.extend(wire::decode_flags(part));
-        }
-        if global_flags.is_empty() {
+        // Share flags. The clustering of the global list is the same on
+        // every rank, so it runs once and every rank gets the boxes; each
+        // rank is still charged for clustering.
+        let params = &st.cfg.cluster;
+        let clustered = comm.allgatherv_with(wire::encode_flags(&flags), |all| {
+            #[cfg(test)]
+            CLUSTER_RUNS.set(CLUSTER_RUNS.get() + 1);
+            let global_flags: Vec<[u64; 3]> =
+                all.iter().flat_map(|p| wire::decode_flags(p)).collect();
+            (global_flags.len(), cluster(&global_flags, params))
+        });
+        let (nflags, boxes) = (clustered.0, &clustered.1);
+        if nflags == 0 {
             break;
         }
-        comm.compute(SimDur::from_nanos(global_flags.len() as u64 * 60));
-        let boxes = cluster(&global_flags, &st.cfg.cluster);
+        comm.compute(SimDur::from_nanos(nflags as u64 * 60));
         if boxes.is_empty() {
             break;
         }
@@ -236,7 +248,7 @@ pub fn rebuild_refinement(comm: &Comm, st: &mut SimState) {
 mod tests {
     use super::*;
     use crate::problem::{ProblemSize, SimConfig};
-    use crate::state::global_digest;
+    use crate::state::{global_digest, DIGEST_RUNS};
     use amrio_mpi::World;
     use amrio_net::NetConfig;
 
@@ -245,6 +257,31 @@ mod tests {
         c.particle_fraction = 0.5;
         c.refine_threshold = 3.0;
         c
+    }
+
+    #[test]
+    fn replicated_work_runs_once_per_collective() {
+        // Clustering and the digest combine are the same on every rank:
+        // once per refinement level reached and once per digest, not
+        // once per rank.
+        let n = 16;
+        let w = World::new(n, NetConfig::smp_cluster(n, 4));
+        let r = w.run(|c| {
+            let mut st = SimState::init(c, cfg(n));
+            rebuild_refinement(c, &mut st);
+            let digest = global_digest(c, &st);
+            let counts = (CLUSTER_RUNS.get(), DIGEST_RUNS.get());
+            (counts, st.hierarchy.max_level(), st.cfg.max_level, digest)
+        });
+        let (_, reached, max, digest) = r.results[0];
+        assert!(reached >= 1, "no refinement happened");
+        assert!(r.results.iter().all(|x| (x.1, x.3) == (reached, digest)));
+        // The level loop stops after the last level it refined, or at
+        // the configured maximum.
+        let levels = usize::from((reached + 1).min(max));
+        let clusterings: usize = r.results.iter().map(|x| x.0 .0).sum();
+        let digests: usize = r.results.iter().map(|x| x.0 .1).sum();
+        assert_eq!((clusterings, digests), (levels, 1));
     }
 
     #[test]

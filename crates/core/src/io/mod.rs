@@ -139,9 +139,9 @@ pub fn scatter_particles_by_slab(
         let dst = decomp.owner_of_pos(pos, [n, n, n]);
         wire::push_particle(&mut payloads[dst], ps, i);
     }
-    let received = comm.alltoallv(payloads);
+    let received = comm.alltoallv(wire::non_empty(payloads));
     let mut mine = ParticleSet::new();
-    for part in &received {
+    for (_, part) in &received {
         wire::read_particles(part, &mut mine);
     }
     mine

@@ -42,9 +42,9 @@ pub fn parallel_sort_by_id(comm: &Comm, mut ps: ParticleSet) -> (ParticleSet, Ve
         let dst = splitters.partition_point(|s| *s < id);
         wire::push_particle(&mut payloads[dst], &ps, i);
     }
-    let received = comm.alltoallv(payloads);
+    let received = comm.alltoallv(wire::non_empty(payloads));
     let mut mine = ParticleSet::new();
-    for part in &received {
+    for (_, part) in &received {
         wire::read_particles(part, &mut mine);
     }
     mine.sort_by_id();

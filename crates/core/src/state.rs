@@ -220,27 +220,38 @@ pub fn global_digest(comm: &Comm, st: &SimState) -> u64 {
     for p in &st.my_subgrids {
         push(p.id, 0, patch_digest(p), &mut local);
     }
-    let all = comm.allgatherv(local);
-    let mut triples: Vec<(u64, u64, u64)> = all
-        .iter()
-        .flat_map(|part| {
-            part.chunks_exact(24).map(|c| {
-                (
-                    u64::from_le_bytes(c[..8].try_into().unwrap()),
-                    u64::from_le_bytes(c[8..16].try_into().unwrap()),
-                    u64::from_le_bytes(c[16..24].try_into().unwrap()),
-                )
+    // The combined hash is the same on every rank: computed once.
+    *comm.allgatherv_with(local, |all| {
+        #[cfg(test)]
+        DIGEST_RUNS.set(DIGEST_RUNS.get() + 1);
+        let mut triples: Vec<(u64, u64, u64)> = all
+            .iter()
+            .flat_map(|part| {
+                part.chunks_exact(24).map(|c| {
+                    (
+                        u64::from_le_bytes(c[..8].try_into().unwrap()),
+                        u64::from_le_bytes(c[8..16].try_into().unwrap()),
+                        u64::from_le_bytes(c[16..24].try_into().unwrap()),
+                    )
+                })
             })
-        })
-        .collect();
-    triples.sort_unstable();
-    let mut h = FNV_OFFSET;
-    for (id, key, d) in triples {
-        h = fnv1a(h, &id.to_le_bytes());
-        h = fnv1a(h, &key.to_le_bytes());
-        h = fnv1a(h, &d.to_le_bytes());
-    }
-    h
+            .collect();
+        triples.sort_unstable();
+        let mut h = FNV_OFFSET;
+        for (id, key, d) in triples {
+            h = fnv1a(h, &id.to_le_bytes());
+            h = fnv1a(h, &key.to_le_bytes());
+            h = fnv1a(h, &d.to_le_bytes());
+        }
+        h
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Global digests combined on this thread (see `CLUSTER_RUNS` in
+    /// `evolve`).
+    pub(crate) static DIGEST_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

@@ -65,6 +65,16 @@ pub fn read_tagged_particles(data: &[u8], mut f: impl FnMut(u64, &[u8])) {
     }
 }
 
+/// The non-empty entries of a per-destination payload vector, as the
+/// ascending `(dst, payload)` send list of `Comm::alltoallv`.
+pub(crate) fn non_empty(payloads: Vec<Vec<u8>>) -> Vec<(usize, Vec<u8>)> {
+    payloads
+        .into_iter()
+        .enumerate()
+        .filter(|(_, p)| !p.is_empty())
+        .collect()
+}
+
 /// Encode refinement flags (`[z,y,x]` cell triples).
 pub fn encode_flags(flags: &[[u64; 3]]) -> Vec<u8> {
     let mut out = Vec::with_capacity(flags.len() * 24);

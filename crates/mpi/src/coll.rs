@@ -6,6 +6,13 @@
 //! gatherv/scatterv (the root drains/injects messages serially — exactly
 //! the bottleneck that hurts the HDF4 processor-0 design), and pairwise
 //! exchange rounds for alltoallv.
+//!
+//! `alltoallv` is sparse: each rank passes `(dst, payload)` pairs and gets
+//! back only the non-empty payloads addressed to it, so the host work of
+//! moving payloads grows with the data, not with P². Its pricing is the
+//! dense pairwise exchange all the same: every ordered pair is priced in
+//! round order, and a pair with nothing to send is a zero-byte message
+//! that pays the per-message overhead and latency and holds the adapters.
 
 use crate::Comm;
 use amrio_check::{CollDesc, CollKind};
@@ -324,68 +331,102 @@ impl<'a> Comm<'a> {
         })
     }
 
-    /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns a
-    /// vec indexed by source rank. Pairwise-exchange rounds: in round k,
-    /// rank i sends to (i+k) mod P and receives from (i-k) mod P.
-    pub fn alltoallv<B: Into<Bytes>>(&self, data: Vec<B>) -> Vec<Bytes> {
-        assert_eq!(data.len(), self.size(), "one payload per destination");
-        let data: Vec<Bytes> = data.into_iter().map(Into::into).collect();
+    /// Personalized all-to-all over a sparse send list.
+    ///
+    /// `data` holds `(dst, payload)` pairs with strictly ascending
+    /// destinations; empty payloads may be passed and are never
+    /// delivered. Returns every non-empty payload addressed to this rank
+    /// as `(src, payload)`, ascending by source, a self-send included.
+    ///
+    /// Pairwise-exchange rounds: in round k, rank i sends to (i+k) mod P
+    /// and receives from (i-k) mod P. Every ordered pair is priced, empty
+    /// ones included: a zero-byte message still pays the per-message
+    /// overhead and latency and occupies the adapters.
+    pub fn alltoallv<B: Into<Bytes>>(&self, data: Vec<(Rank, B)>) -> Vec<(Rank, Bytes)> {
+        let data: Vec<(Rank, Bytes)> = data.into_iter().map(|(d, p)| (d, p.into())).collect();
+        assert!(
+            data.windows(2).all(|w| w[0].0 < w[1].0),
+            "alltoallv destinations must be strictly ascending"
+        );
+        assert!(
+            data.last().is_none_or(|&(d, _)| d < self.size()),
+            "alltoallv destination out of range"
+        );
         let desc = CollDesc {
             kind: CollKind::Alltoallv,
             root: None,
             op: None,
-            bytes: data.iter().map(|p| p.len() as u64).sum(),
+            bytes: data.iter().map(|(_, p)| p.len() as u64).sum(),
             uniform_bytes: false,
         };
         self.rendezvous(desc, data, move |net, inputs| {
             let n = inputs.len();
-            let mut clocks: Vec<SimTime> = inputs.iter().map(|(t, _)| *t).collect();
-            let mut payloads: Vec<Vec<Bytes>> = inputs.into_iter().map(|(_, d)| d).collect();
+            let (mut clocks, mut sends): (Vec<SimTime>, Vec<Vec<(Rank, Bytes)>>) =
+                inputs.into_iter().unzip();
             // Everyone starts the exchange together (implicit sync).
             let start = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
-            for c in clocks.iter_mut() {
-                *c = start;
+            clocks.fill(start);
+            // Rotate each send list into round order, (dst - i) mod n
+            // ascending, so one cursor per source walks it once. A pair
+            // with no entry reads no payload and is priced at zero bytes.
+            for (i, s) in sends.iter_mut().enumerate() {
+                let p = s.partition_point(|&(d, _)| d < i);
+                s.rotate_left(p);
             }
-            // Empty `Bytes` do not allocate, and every payload is moved
-            // (not cloned) into place. Zero-byte pairs are still priced:
-            // they pay per-message latency and occupy adapters.
-            let mut out: Vec<Vec<Bytes>> = (0..n).map(|_| vec![Bytes::new(); n]).collect();
+            let mut cursors = vec![0usize; n];
+            let mut next = |i: usize, dst: Rank| match sends[i].get_mut(cursors[i]) {
+                Some((d, p)) if *d == dst => {
+                    cursors[i] += 1;
+                    std::mem::take(p)
+                }
+                _ => Bytes::new(),
+            };
+            let mut out: Vec<Vec<(Rank, Bytes)>> = (0..n).map(|_| Vec::new()).collect();
             // Local hand-offs first.
             for i in 0..n {
-                let part = std::mem::take(&mut payloads[i][i]);
+                let part = next(i, i);
                 clocks[i] += unpack_cost(net, part.len() as u64);
-                out[i][i] = part;
+                if !part.is_empty() {
+                    out[i].push((i, part));
+                }
             }
             let mut arrivals: Vec<(usize, SimTime, u64)> = Vec::with_capacity(n);
             for k in 1..n {
                 // Pre-compute arrivals for this round, then merge.
-                for i in 0..n {
+                for (i, clock) in clocks.iter_mut().enumerate() {
                     let dst = (i + k) % n;
-                    let part = std::mem::take(&mut payloads[i][dst]);
+                    let part = next(i, dst);
                     let bytes = part.len() as u64;
-                    let x = net.transfer(i, dst, bytes, clocks[i]);
-                    clocks[i] = x.sender_free;
+                    let x = net.transfer(i, dst, bytes, *clock);
+                    *clock = x.sender_free;
                     arrivals.push((dst, x.arrival, bytes));
-                    out[dst][i] = part;
+                    if bytes > 0 {
+                        out[dst].push((i, part));
+                    }
                 }
                 for (dst, arr, bytes) in arrivals.drain(..) {
                     clocks[dst] = clocks[dst].max(arr) + unpack_cost(net, bytes);
                 }
             }
-            clocks.iter().zip(out).map(|(ct, o)| (*ct, o)).collect()
+            for o in &mut out {
+                o.sort_unstable_by_key(|&(src, _)| src);
+            }
+            clocks.into_iter().zip(out).collect()
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::World;
+    use crate::{Comm, World};
+    use amrio_check::{CollDesc, CollKind};
+    use amrio_fault::{window_secs, FaultPlan};
     use amrio_net::NetConfig;
-    use amrio_simt::{SimDur, SimTime};
+    use amrio_simt::{Bytes, SimDur, SimTime};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    use super::ReduceOp;
+    use super::{unpack_cost, ReduceOp};
 
     #[test]
     fn barrier_synchronizes_clocks() {
@@ -478,11 +519,15 @@ mod tests {
         let w = World::new(4, NetConfig::fast_ethernet(4));
         let r = w.run(|c| {
             let me = c.rank() as u8;
-            let data: Vec<Vec<u8>> = (0..4).map(|dst| vec![me * 16 + dst as u8; 3]).collect();
+            let data: Vec<(usize, Vec<u8>)> = (0..4)
+                .map(|dst| (dst, vec![me * 16 + dst as u8; 3]))
+                .collect();
             c.alltoallv(data)
         });
         for (dst, per_src) in r.results.iter().enumerate() {
-            for (src, d) in per_src.iter().enumerate() {
+            let srcs: Vec<usize> = per_src.iter().map(|(s, _)| *s).collect();
+            assert_eq!(srcs, [0, 1, 2, 3], "every source, ascending");
+            for (src, d) in per_src {
                 assert_eq!(d, &vec![(src * 16 + dst) as u8; 3], "src {src} dst {dst}");
             }
         }
@@ -596,27 +641,19 @@ mod tests {
         let r = w.run(|c| {
             let me = c.rank();
             c.compute(SimDur::from_micros((me as u64 * 37) % 23));
-            let data: Vec<Vec<u8>> = (0..n)
-                .map(|dst| {
-                    if sends(me, dst) {
-                        payload(me, dst)
-                    } else {
-                        Vec::new()
-                    }
-                })
+            let data: Vec<(usize, Vec<u8>)> = (0..n)
+                .filter(|&dst| sends(me, dst))
+                .map(|dst| (dst, payload(me, dst)))
                 .collect();
             let got = c.alltoallv(data);
             (c.now().0, got)
         });
-        for (dst, (_, per_src)) in r.results.iter().enumerate() {
-            for (src, d) in per_src.iter().enumerate() {
-                let want = if sends(src, dst) {
-                    payload(src, dst)
-                } else {
-                    Vec::new()
-                };
-                assert_eq!(d, &want, "src {src} dst {dst}");
-            }
+        for (dst, (_, got)) in r.results.iter().enumerate() {
+            let want: Vec<(usize, Bytes)> = (0..n)
+                .filter(|&src| sends(src, dst))
+                .map(|src| (src, payload(src, dst).into()))
+                .collect();
+            assert_eq!(got, &want, "dst {dst}");
         }
         let clocks: Vec<u64> = r.results.iter().map(|(t, _)| *t).collect();
         assert_eq!(clocks, SPARSE_ALLTOALLV_CLOCKS);
@@ -633,6 +670,202 @@ mod tests {
         1990526, 1990526, 1990526, 2009886, 2009886, 2009886, 1988526, 1988206, 1984886, 1985846,
         1985846, 1985366, 1990317, 2004886,
     ];
+
+    /// The dense pairwise exchange this crate priced before the sparse
+    /// form, kept as the oracle: an n×n matrix of payloads, every pair
+    /// taken from it and priced in the same `(k, i)` order.
+    impl Comm<'_> {
+        fn alltoallv_dense_reference(&self, data: Vec<Bytes>) -> Vec<Bytes> {
+            assert_eq!(data.len(), self.size(), "one payload per destination");
+            let desc = CollDesc {
+                kind: CollKind::Alltoallv,
+                root: None,
+                op: None,
+                bytes: data.iter().map(|p| p.len() as u64).sum(),
+                uniform_bytes: false,
+            };
+            self.rendezvous(desc, data, move |net, inputs| {
+                let n = inputs.len();
+                let mut clocks: Vec<SimTime> = inputs.iter().map(|(t, _)| *t).collect();
+                let mut payloads: Vec<Vec<Bytes>> = inputs.into_iter().map(|(_, d)| d).collect();
+                let start = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
+                for c in clocks.iter_mut() {
+                    *c = start;
+                }
+                let mut out: Vec<Vec<Bytes>> = (0..n).map(|_| vec![Bytes::new(); n]).collect();
+                for i in 0..n {
+                    let part = std::mem::take(&mut payloads[i][i]);
+                    clocks[i] += unpack_cost(net, part.len() as u64);
+                    out[i][i] = part;
+                }
+                let mut arrivals: Vec<(usize, SimTime, u64)> = Vec::with_capacity(n);
+                for k in 1..n {
+                    for i in 0..n {
+                        let dst = (i + k) % n;
+                        let part = std::mem::take(&mut payloads[i][dst]);
+                        let bytes = part.len() as u64;
+                        let x = net.transfer(i, dst, bytes, clocks[i]);
+                        clocks[i] = x.sender_free;
+                        arrivals.push((dst, x.arrival, bytes));
+                        out[dst][i] = part;
+                    }
+                    for (dst, arr, bytes) in arrivals.drain(..) {
+                        clocks[dst] = clocks[dst].max(arr) + unpack_cost(net, bytes);
+                    }
+                }
+                clocks.iter().zip(out).map(|(ct, o)| (*ct, o)).collect()
+            })
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Everything a run of the exchange leaves behind: per-rank clocks
+    /// and deliveries (non-empty payloads by source), the message and
+    /// inter-node byte counters, every adapter's free time, and how many
+    /// budgeted drops the fault plan handed out.
+    type Outcome = (
+        Vec<(u64, Vec<Vec<(usize, Bytes)>>)>,
+        u64,
+        u64,
+        Vec<SimTime>,
+        u64,
+    );
+
+    /// Two back-to-back exchanges of `sends[round][src]` (dense, indexed
+    /// by destination; empty = no payload) after per-rank skew, through
+    /// the sparse collective or the dense reference.
+    fn exchange(
+        cfg: &NetConfig,
+        sends: &[Vec<Vec<Bytes>>],
+        faults: Option<FaultPlan>,
+        dense: bool,
+    ) -> Outcome {
+        let n = sends[0].len();
+        let plan = faults.map(Arc::new);
+        let mut w = World::new(n, cfg.clone());
+        if let Some(p) = &plan {
+            w = w.with_faults(Arc::clone(p));
+        }
+        let r = w.run(|c| {
+            let me = c.rank();
+            c.compute(SimDur::from_nanos((me as u64 * 7919) % 50_000));
+            let mut got = Vec::new();
+            for round in sends {
+                let mine = &round[me];
+                let recv: Vec<(usize, Bytes)> = if dense {
+                    c.alltoallv_dense_reference(mine.clone())
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(_, p)| !p.is_empty())
+                        .collect()
+                } else {
+                    // Pass some empty payloads explicitly: they must
+                    // price and deliver exactly like absent entries.
+                    let list =
+                        mine.iter().cloned().enumerate().filter(|(d, p)| {
+                            !p.is_empty() || (d + me + round.len()).is_multiple_of(3)
+                        });
+                    c.alltoallv(list.collect())
+                };
+                got.push(recv);
+            }
+            (c.now().0, got)
+        });
+        let adapters = (0..cfg.node_of.len())
+            .map(|ep| w.shared.net.lock().adapter_free_at(ep))
+            .collect();
+        let dropped = plan.map_or(0, |p| p.report(r.makespan).dropped_messages);
+        (
+            r.results,
+            w.net_messages(),
+            w.net_inter_node_bytes(),
+            adapters,
+            dropped,
+        )
+    }
+
+    /// Random dense send matrices: each ordered pair carries 1..=200
+    /// random bytes with probability `per_mille`/1000.
+    fn random_sends(rng: &mut u64, n: usize, per_mille: u64) -> Vec<Vec<Vec<Bytes>>> {
+        (0..2)
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        (0..n)
+                            .map(|_| {
+                                if splitmix64(rng) % 1000 >= per_mille {
+                                    return Bytes::new();
+                                }
+                                let len = 1 + splitmix64(rng) % 200;
+                                let v: Vec<u8> = (0..len).map(|_| splitmix64(rng) as u8).collect();
+                                Bytes::from(v)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_alltoallv_matches_the_dense_reference() {
+        let mut rng = 20020923u64;
+        for n in [1, 2, 7, 64] {
+            let cfgs = [
+                ("ccnuma", NetConfig::ccnuma(n)),
+                ("smp_cluster", NetConfig::smp_cluster(n, 4)),
+                ("fast_ethernet", NetConfig::fast_ethernet(n)),
+            ];
+            for (name, cfg) in &cfgs {
+                for per_mille in [0, 10, 500, 1000] {
+                    let sends = random_sends(&mut rng, n, per_mille);
+                    let sparse = exchange(cfg, &sends, None, false);
+                    let dense = exchange(cfg, &sends, None, true);
+                    assert!(
+                        sparse == dense,
+                        "{name}, {n} ranks, {per_mille}/1000 pairs sent: sparse and dense differ"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_byte_pair_consumes_a_budgeted_drop_in_order() {
+        // The first message of the (src, dst) pair below carries no
+        // bytes; the one-message drop budget must still go to it, on
+        // both forms, with identical consequences.
+        let n = 7;
+        let cfg = NetConfig::smp_cluster(n, 4);
+        let mut rng = 7412u64;
+        let sends = random_sends(&mut rng, n, 500);
+        let (src, dst) = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d)))
+            .find(|&(s, d)| s != d && sends[0][s][d].is_empty())
+            .expect("an empty pair at 50% density");
+        let plan = || {
+            FaultPlan::new().with_message_drops(
+                Some(src),
+                Some(dst),
+                window_secs(0.0, 10.0),
+                SimDur::from_millis(3),
+                1,
+            )
+        };
+        let sparse = exchange(&cfg, &sends, Some(plan()), false);
+        let dense = exchange(&cfg, &sends, Some(plan()), true);
+        assert_eq!(sparse.4, 1, "the zero-byte pair took the drop");
+        assert!(sparse == dense, "sparse and dense differ under faults");
+        let clean = exchange(&cfg, &sends, None, false);
+        assert!(clean.0 != sparse.0, "the drop must move some clock");
+    }
 
     #[test]
     fn gather_root_cost_grows_with_ranks() {

@@ -233,16 +233,14 @@ impl<'c, 'w> MpiFile<'c, 'w> {
 
         // Phase 1 (communication): route my pieces to their aggregators.
         let buf_pos = buffer_positions(&regions);
-        let payloads: Vec<Vec<u8>> = (0..self.comm.size())
-            .map(|dst| {
-                if dst >= naggs {
-                    return Vec::new();
-                }
-                let (ds, de) = domains[dst];
+        let payloads: Vec<(usize, Vec<u8>)> = domains
+            .iter()
+            .enumerate()
+            .map(|(dst, &(ds, de))| {
                 let pieces: Vec<(u64, &[u8])> = intersect(&regions, &buf_pos, ds, de)
                     .map(|(off, r)| (off, &buf[r]))
                     .collect();
-                encode_pieces(&pieces)
+                (dst, encode_pieces(&pieces))
             })
             .collect();
         let received = self.comm.alltoallv(payloads);
@@ -257,7 +255,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
             let (ds, de) = domains[me];
             if de > ds {
                 let mut pieces: Vec<(u64, Bytes)> = Vec::new();
-                for (src, per_src) in received.iter().enumerate() {
+                for (src, per_src) in &received {
                     let ps = decode_pieces(per_src).unwrap_or_else(|e| {
                         panic!("two-phase write: corrupt piece stream from rank {src}: {e}")
                     });
@@ -383,12 +381,10 @@ impl<'c, 'w> MpiFile<'c, 'w> {
         // Phase 0b: every rank sends each aggregator the part of its
         // access list that falls in that aggregator's file domain
         // (ROMIO's ADIOI_Calc_others_req).
-        let req_payloads: Vec<Vec<u8>> = (0..self.comm.size())
-            .map(|dst| {
-                if dst >= naggs {
-                    return Vec::new();
-                }
-                let (ds, de) = domains[dst];
+        let req_payloads: Vec<(usize, Vec<u8>)> = domains
+            .iter()
+            .enumerate()
+            .map(|(dst, &(ds, de))| {
                 let clipped: Vec<Region> = regions
                     .iter()
                     .filter_map(|&(o, l)| {
@@ -397,19 +393,20 @@ impl<'c, 'w> MpiFile<'c, 'w> {
                         (e > s).then(|| (s, e - s))
                     })
                     .collect();
-                encode_regions(&clipped)
+                (dst, encode_regions(&clipped))
             })
             .collect();
-        // others_req[src] = src's clipped regions inside my domain.
-        let others_req: Vec<Vec<Region>> = self
+        // (src, src's clipped regions inside my domain), for every rank
+        // that requested any.
+        let others_req: Vec<(usize, Vec<Region>)> = self
             .comm
             .alltoallv(req_payloads)
-            .iter()
-            .enumerate()
+            .into_iter()
             .map(|(src, d)| {
-                decode_regions(d).unwrap_or_else(|e| {
+                let regs = decode_regions(&d).unwrap_or_else(|e| {
                     panic!("two-phase read: corrupt request list from rank {src}: {e}")
-                })
+                });
+                (src, regs)
             })
             .collect();
 
@@ -421,7 +418,10 @@ impl<'c, 'w> MpiFile<'c, 'w> {
             let (ds, de) = domains[me];
             if de > ds {
                 // Union of all requests clipped to the domain.
-                let mut wanted: Vec<Region> = others_req.iter().flatten().copied().collect();
+                let mut wanted: Vec<Region> = others_req
+                    .iter()
+                    .flat_map(|(_, regs)| regs.iter().copied())
+                    .collect();
                 crate::datatype::normalize(&mut wanted);
                 let fs = Arc::clone(&self.fs);
                 let fid = self.fid;
@@ -456,13 +456,11 @@ impl<'c, 'w> MpiFile<'c, 'w> {
         // (the requests arrived pre-clipped in phase 0b). Responses are
         // sliced straight out of the read chunks; a request spanning a
         // chunk boundary is split, which only adds piece headers.
-        let payloads: Vec<Vec<u8>> = (0..self.comm.size())
-            .map(|dst| {
-                if me >= naggs || chunks.is_empty() {
-                    return Vec::new();
-                }
+        let payloads: Vec<(usize, Vec<u8>)> = others_req
+            .iter()
+            .map(|(dst, regs)| {
                 let mut pieces: Vec<(u64, &[u8])> = Vec::new();
-                for &(s, l) in &others_req[dst] {
+                for &(s, l) in regs {
                     let mut o = s;
                     let end = s + l;
                     while o < end {
@@ -474,7 +472,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
                         o = e;
                     }
                 }
-                encode_pieces(&pieces)
+                (*dst, encode_pieces(&pieces))
             })
             .collect();
         let received = self.comm.alltoallv(payloads);
@@ -482,7 +480,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
         // Assemble my buffer from the pieces.
         let mut out = vec![0u8; total as usize];
         let buf_pos = buffer_positions(&regions);
-        for (src, per_src) in received.iter().enumerate() {
+        for (src, per_src) in &received {
             let pieces = decode_pieces(per_src).unwrap_or_else(|e| {
                 panic!("two-phase read: corrupt piece stream from rank {src}: {e}")
             });

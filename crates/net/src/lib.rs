@@ -303,6 +303,132 @@ mod tests {
         assert_eq!(n.inter_node_bytes, 0);
     }
 
+    /// `Net::transfer` as priced before zero-byte messages skipped the
+    /// bandwidth division: the same arithmetic over plain state, with
+    /// wire times always computed as `ceil(bytes / bandwidth * 1e9)`.
+    struct Reference {
+        cfg: NetConfig,
+        adapter_free: Vec<SimTime>,
+        inter_node_bytes: u64,
+        messages: u64,
+        faults: Option<FaultPlan>,
+    }
+
+    impl Reference {
+        fn wire(bytes: u64, bw: f64) -> SimDur {
+            SimDur(((bytes as f64 / bw) * 1e9).ceil() as u64)
+        }
+
+        fn transfer(&mut self, src: Endpoint, dst: Endpoint, bytes: u64, t: SimTime) -> Xfer {
+            self.messages += 1;
+            let (sn, dn) = (self.cfg.node_of[src], self.cfg.node_of[dst]);
+            let t0 = t + self.cfg.per_message;
+            let mut x = if sn == dn {
+                let done =
+                    t0 + self.cfg.intra.latency + Self::wire(bytes, self.cfg.intra.bandwidth);
+                Xfer {
+                    sender_free: done,
+                    arrival: done,
+                }
+            } else {
+                self.inter_node_bytes += bytes;
+                let wire = Self::wire(bytes, self.cfg.inter.bandwidth);
+                if self.cfg.port_limited {
+                    let start = t0.max(self.adapter_free[sn]).max(self.adapter_free[dn]);
+                    self.adapter_free[sn] = start + wire;
+                    self.adapter_free[dn] = start + wire;
+                    Xfer {
+                        sender_free: start + wire,
+                        arrival: start + wire + self.cfg.inter.latency,
+                    }
+                } else {
+                    Xfer {
+                        sender_free: t0 + wire,
+                        arrival: t0 + self.cfg.inter.latency + wire,
+                    }
+                }
+            };
+            if let Some(plan) = &self.faults {
+                if let Some(extra) = plan.message_penalty(src, dst, t) {
+                    x.arrival += extra;
+                }
+            }
+            x
+        }
+    }
+
+    #[test]
+    fn zero_byte_pricing_matches_the_reference_arithmetic() {
+        // Two nodes of two endpoints each: (0,1) is intra-node, (0,2)
+        // and (3,1) are inter-node. Zero-byte messages are interleaved
+        // with loaded ones so they meet busy adapters, and the first
+        // messages matching the fault budgets carry no bytes.
+        let mut flat = NetConfig::smp_cluster(4, 2);
+        flat.port_limited = false;
+        let cfgs = [
+            NetConfig::smp_cluster(4, 2),
+            flat,
+            NetConfig::fast_ethernet(4),
+        ];
+        let hops = [(0, 1), (0, 2), (3, 1), (2, 0), (1, 0), (2, 3)];
+        let plan = || {
+            FaultPlan::new()
+                .with_message_drops(
+                    Some(0),
+                    Some(2),
+                    amrio_fault::window_secs(0.0, 1.0),
+                    SimDur::from_micros(700),
+                    1,
+                )
+                .with_message_delays(
+                    None,
+                    Some(1),
+                    amrio_fault::window_secs(0.0, 1.0),
+                    SimDur::from_micros(90),
+                    2,
+                )
+        };
+        for cfg in cfgs {
+            for with_faults in [false, true] {
+                let mut net = Net::new(cfg.clone());
+                let mut reference = Reference {
+                    adapter_free: vec![SimTime::ZERO; cfg.num_nodes()],
+                    cfg: cfg.clone(),
+                    inter_node_bytes: 0,
+                    messages: 0,
+                    faults: with_faults.then(plan),
+                };
+                let net_plan = Arc::new(plan());
+                if with_faults {
+                    net.attach_faults(Arc::clone(&net_plan));
+                }
+                let mut t = SimTime::ZERO;
+                for (m, &(src, dst)) in hops.iter().cycle().take(24).enumerate() {
+                    let bytes = if m % 3 == 2 { 5_000 } else { 0 };
+                    let got = net.transfer(src, dst, bytes, t);
+                    let want = reference.transfer(src, dst, bytes, t);
+                    let at = format!("message {m} {src}->{dst}, faults {with_faults}");
+                    assert_eq!(got.sender_free, want.sender_free, "{at}");
+                    assert_eq!(got.arrival, want.arrival, "{at}");
+                    for ep in 0..4 {
+                        let node = cfg.node_of[ep];
+                        assert_eq!(
+                            net.adapter_free_at(ep),
+                            reference.adapter_free[node],
+                            "{at}"
+                        );
+                    }
+                    assert_eq!(net.messages, reference.messages, "{at}");
+                    assert_eq!(net.inter_node_bytes, reference.inter_node_bytes, "{at}");
+                    t += SimDur::from_micros(if m % 2 == 0 { 1 } else { 40 });
+                }
+                let used = net_plan.report(t);
+                let spent = if with_faults { (1, 2) } else { (0, 0) };
+                assert_eq!((used.dropped_messages, used.delayed_messages), spent);
+            }
+        }
+    }
+
     #[test]
     fn zero_byte_message_costs_latency_only() {
         let mut n = Net::new(NetConfig::fast_ethernet(2));

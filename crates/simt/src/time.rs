@@ -71,6 +71,11 @@ impl SimDur {
     /// Time to move `bytes` at `bytes_per_sec`, rounded up to whole ns.
     pub fn transfer(bytes: u64, bytes_per_sec: f64) -> SimDur {
         assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
+        if bytes == 0 {
+            // What the division gives for any positive bandwidth, minus
+            // the float work: most pairs of a large exchange are empty.
+            return SimDur::ZERO;
+        }
         SimDur(((bytes as f64 / bytes_per_sec) * 1e9).ceil() as u64)
     }
 }
@@ -154,6 +159,14 @@ mod tests {
         let d = SimDur::transfer(10, 3.0);
         assert!(d.as_secs_f64() >= 10.0 / 3.0);
         assert!(d.as_secs_f64() < 10.0 / 3.0 + 1e-6);
+    }
+
+    #[test]
+    fn zero_byte_transfer_matches_the_division() {
+        for bw in [1e-3, 3.0, 11.5e6, 400e6, f64::MAX, f64::INFINITY] {
+            let div = SimDur(((0u64 as f64 / bw) * 1e9).ceil() as u64);
+            assert_eq!(SimDur::transfer(0, bw), div, "{bw}");
+        }
     }
 
     #[test]

@@ -225,7 +225,9 @@ fn replay_sort(comm: &Comm, npart: u64) {
     comm.compute(sort_cost);
     comm.allgatherv(vec![0u8; (8 * p) as usize]);
     let per_pair = nloc * bytes_per_particle() / p;
-    let payloads: Vec<Vec<u8>> = (0..p).map(|_| vec![0u8; per_pair as usize]).collect();
+    let payloads: Vec<(usize, Vec<u8>)> = (0..comm.size())
+        .map(|dst| (dst, vec![0u8; per_pair as usize]))
+        .collect();
     comm.alltoallv(payloads);
     comm.compute(sort_cost);
     comm.allgatherv(vec![0u8; 8]);
@@ -240,7 +242,9 @@ fn replay_scatter(comm: &Comm, npart: u64) {
     let nloc = be - bs;
     comm.compute(SimDur::from_nanos(nloc * NS_PER_CLASSIFY));
     let per_pair = nloc * bytes_per_particle() / p;
-    let payloads: Vec<Vec<u8>> = (0..p).map(|_| vec![0u8; per_pair as usize]).collect();
+    let payloads: Vec<(usize, Vec<u8>)> = (0..comm.size())
+        .map(|dst| (dst, vec![0u8; per_pair as usize]))
+        .collect();
     comm.alltoallv(payloads);
 }
 

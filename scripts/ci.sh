@@ -29,8 +29,9 @@ cargo run --release --example plan_report
 echo "== tune smoke (zero Error lints on presets; advisory beats every preset)"
 cargo run --release -q -p amrio-bench --bin tune -- --smoke
 
-echo "== verify smoke (static happens-before verdicts vs runtime checker, zero false negatives)"
-cargo run --release -q -p amrio-bench --bin verify -- --smoke
+echo "== verify (static happens-before verdicts vs runtime checker, zero false negatives; committed CSV regenerates byte-identically)"
+cargo run --release -q -p amrio-bench --bin verify
+git diff --exit-code -- results/verify.csv
 
 echo "== resilience fault-matrix smoke (fault injection + graceful degradation)"
 cargo run --release -q -p amrio-bench --bin resilience -- --smoke
