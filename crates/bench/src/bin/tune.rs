@@ -12,10 +12,10 @@
 //!    to any hand-written MPI-IO strategy preset, and the tuned image
 //!    digest must equal the untuned `MPI-IO` baseline digest.
 //!
-//! `--smoke` restricts the tuning gate to one cell for CI.
+//! `results/tune.csv` regenerates byte-identically; CI diffs it.
 //!
 //! ```sh
-//! cargo run --release -p amrio-bench --bin tune [-- --smoke]
+//! cargo run --release -p amrio-bench --bin tune
 //! ```
 
 use amrio_bench::EVOLVE_CYCLES;
@@ -265,56 +265,26 @@ fn write_csv(rows: &[Row]) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let mut ok = lint_presets(ProblemSize::Custom(16), 4);
 
     let mut rows = Vec::new();
     let mut winners = Vec::new();
-    if smoke {
-        ok &= tune_cell(
-            &Platform::origin2000(4),
-            ProblemSize::Custom(16),
-            4,
-            &mut rows,
-            &mut winners,
-        );
-    } else {
-        ok &= tune_cell(
-            &Platform::origin2000(4),
-            ProblemSize::Custom(16),
-            4,
-            &mut rows,
-            &mut winners,
-        );
-        ok &= tune_cell(
-            &Platform::origin2000(8),
-            ProblemSize::Custom(32),
-            8,
-            &mut rows,
-            &mut winners,
-        );
-        ok &= tune_cell(
-            &Platform::ibm_sp2(8),
-            ProblemSize::Custom(32),
-            8,
-            &mut rows,
-            &mut winners,
-        );
-        ok &= tune_cell(
-            &Platform::chiba_pvfs(8),
-            ProblemSize::Custom(32),
-            8,
-            &mut rows,
-            &mut winners,
-        );
-        write_csv(&rows);
-        // The winning advisories in the shared serve-format shape
-        // (label + full hint set), one object per matrix cell.
-        std::fs::create_dir_all("results").ok();
-        std::fs::write("results/tune_winners.json", Json::Arr(winners).pretty())
-            .expect("write results/tune_winners.json");
-        println!("(wrote results/tune_winners.json)");
+    let cells = [
+        (Platform::origin2000(4), ProblemSize::Custom(16), 4),
+        (Platform::origin2000(8), ProblemSize::Custom(32), 8),
+        (Platform::ibm_sp2(8), ProblemSize::Custom(32), 8),
+        (Platform::chiba_pvfs(8), ProblemSize::Custom(32), 8),
+    ];
+    for (platform, size, nranks) in &cells {
+        ok &= tune_cell(platform, *size, *nranks, &mut rows, &mut winners);
     }
+    write_csv(&rows);
+    // The winning advisories in the shared serve-format shape (label +
+    // full hint set), one object per matrix cell.
+    std::fs::create_dir_all("results").ok();
+    std::fs::write("results/tune_winners.json", Json::Arr(winners).pretty())
+        .expect("write results/tune_winners.json");
+    println!("(wrote results/tune_winners.json)");
 
     if ok {
         println!("\ntune: advisory beats every hand-written preset; digests identical");

@@ -37,21 +37,13 @@ fn write_patch_sds(f: &mut H4File, patch: &GridPatch, sorted: &ParticleSet) {
     }
 }
 
-fn read_patch_sds(f: &H4File, meta: &amrio_amr::GridMeta) -> GridPatch {
-    let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
-    let dims = patch.dims();
-    for (i, name) in BARYON_FIELDS.iter().enumerate() {
-        let (_, bytes) = f.read_sds(name);
-        patch.fields[i] = amrio_amr::Array3::from_bytes(dims, &bytes);
-    }
+/// Every particle of an HDF4 grid file, one SDS per array.
+pub(crate) fn read_particles_sds(f: &H4File) -> ParticleSet {
     let mut ps = ParticleSet::new();
     for (name, _) in PARTICLE_ARRAYS.iter() {
-        let (_, bytes) = f.read_sds(name);
-        ps.set_array_bytes(name, &bytes);
+        ps.set_array_bytes(name, &f.read_sds(name).1);
     }
-    ps.validate();
-    patch.particles = ps;
-    patch
+    ps
 }
 
 impl IoStrategy for Hdf4Serial {
@@ -112,80 +104,34 @@ impl IoStrategy for Hdf4Serial {
     }
 
     fn read_checkpoint(&self, comm: &Comm, io: &MpiIo, cfg: &SimConfig, dump: u32) -> SimState {
-        let n = cfg.root_n();
         // --- Processor 0 reads the top-grid file and redistributes. ---
-        let meta_bytes = if comm.rank() == 0 {
-            let f = H4File::open(io, comm, &topgrid_path(dump));
-            f.read_attr("hierarchy")
-        } else {
-            Vec::new()
-        };
-        let meta_bytes = comm.bcast(0, meta_bytes);
-        let (mut hierarchy, time, cycle) = wire::decode_hierarchy(&meta_bytes);
-        assign_restart_owners(&mut hierarchy, comm.size());
-
-        let decomp = amrio_amr::BlockDecomp::new(amrio_amr::CellBox::cube(n), comm.size());
-        let mut my_fields = Vec::with_capacity(NUM_FIELDS);
-        // Keep the file handle open on rank 0 across datasets.
+        let meta = from_root(comm, || {
+            H4File::open(io, comm, &topgrid_path(dump)).read_attr("hierarchy")
+        });
+        let r = Restart::new(comm, cfg, &meta);
+        // Rank 0 opens the top-grid file a second time for the data and
+        // keeps the handle open across datasets.
         let top_file = (comm.rank() == 0).then(|| H4File::open(io, comm, &topgrid_path(dump)));
-        for name in BARYON_FIELDS.iter() {
-            let parts = if let Some(f) = &top_file {
-                let (_, bytes) = f.read_sds(name);
-                let global = amrio_amr::Array3::from_bytes([n as usize; 3], &bytes);
-                extract_slabs(comm, &decomp, &global)
-            } else {
-                Vec::new()
-            };
-            let mine = comm.scatterv(0, parts);
-            let s = decomp.slab(comm.rank()).size();
-            my_fields.push(amrio_amr::Array3::from_bytes(
-                [s[0] as usize, s[1] as usize, s[2] as usize],
-                &mine,
-            ));
-        }
-        // Particles: rank 0 reads all arrays, partitions by position.
-        let parts = if let Some(f) = &top_file {
-            let mut ps = ParticleSet::new();
-            for (name, _) in PARTICLE_ARRAYS.iter() {
-                let (_, bytes) = f.read_sds(name);
-                ps.set_array_bytes(name, &bytes);
+        let fields = r.top_fields_from_root(
+            top_file
+                .as_ref()
+                .map(|f| |i: usize| f.read_sds(BARYON_FIELDS[i]).1),
+        );
+        // Particles: rank 0 reads all arrays, classifies them by
+        // position, partitions and scatters.
+        let particles = r.top_particles_from_root(top_file.as_ref().map(|f| {
+            || {
+                let ps = read_particles_sds(f);
+                comm.compute(SimDur::from_nanos(ps.len() as u64 * NS_PER_CLASSIFY));
+                ps
             }
-            ps.validate();
-            comm.compute(SimDur::from_nanos(ps.len() as u64 * 20));
-            let split = ps.partition_by(comm.size(), |pos| decomp.owner_of_pos(pos, [n, n, n]));
-            split
-                .iter()
-                .map(|s| {
-                    let mut rec = Vec::new();
-                    for i in 0..s.len() {
-                        wire::push_particle(&mut rec, s, i);
-                    }
-                    rec
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mine = comm.scatterv(0, parts);
-        let mut top_particles = ParticleSet::new();
-        wire::read_particles(&mine, &mut top_particles);
+        }));
 
         // --- Subgrids: round-robin read by the new owners. ---
-        let mut my_subgrids = Vec::new();
-        for meta in my_restart_subgrids(&hierarchy, comm.rank()) {
+        let subgrids = r.subgrids(|meta| {
             let f = H4File::open(io, comm, &subgrid_path(dump, meta.id));
-            my_subgrids.push(read_patch_sds(&f, &meta));
-        }
-        comm.barrier();
-        rebuild_state(
-            comm,
-            cfg,
-            hierarchy,
-            time,
-            cycle,
-            my_fields,
-            top_particles,
-            my_subgrids,
-        )
+            patch_from_arrays(meta, |k, _| f.read_sds(array_name(k)).1)
+        });
+        r.finish(fields, particles, subgrids)
     }
 }

@@ -7,7 +7,7 @@
 
 use super::*;
 use crate::sort::parallel_sort_by_id;
-use amrio_amr::{block_bounds, GridPatch, ParticleSet, BARYON_FIELDS, PARTICLE_ARRAYS};
+use amrio_amr::{BARYON_FIELDS, PARTICLE_ARRAYS};
 use amrio_hdf5::{H5File, Hyperslab, OverheadModel, Xfer};
 use amrio_mpiio::NumType;
 
@@ -120,81 +120,43 @@ impl IoStrategy for Hdf5Parallel {
     }
 
     fn read_checkpoint(&self, comm: &Comm, io: &MpiIo, cfg: &SimConfig, dump: u32) -> SimState {
-        let n = cfg.root_n();
         let mut f = H5File::open(io, comm, &shared_path(dump, "h5"), self.model);
-        let meta = if comm.rank() == 0 {
-            f.read_attr("hierarchy")
-        } else {
-            Vec::new()
-        };
-        let meta = comm.bcast(0, meta);
-        let (mut hierarchy, time, cycle) = wire::decode_hierarchy(&meta);
-        assign_restart_owners(&mut hierarchy, comm.size());
+        let r = Restart::new(comm, cfg, &from_root(comm, || f.read_attr("hierarchy")));
 
         // --- Top-grid fields: collective hyperslab reads. ---
-        let decomp = amrio_amr::BlockDecomp::new(amrio_amr::CellBox::cube(n), comm.size());
-        let slab_box = decomp.slab(comm.rank());
-        let top_box = hierarchy.find(TOP_GRID).unwrap().bbox;
-        let s = slab_box.size();
-        let dims = [s[0] as usize, s[1] as usize, s[2] as usize];
-        let mut my_fields = Vec::with_capacity(NUM_FIELDS);
-        for name in BARYON_FIELDS.iter() {
-            let ds = f.open_dataset(&ds_field(TOP_GRID, name));
-            let bytes = f.read_hyperslab(ds, &slab_of(&slab_box, &top_box), Xfer::Collective);
-            my_fields.push(amrio_amr::Array3::from_bytes(dims, &bytes));
-        }
+        let top_box = r.hierarchy.find(TOP_GRID).expect("top grid").bbox;
+        let fields = r.top_fields(|i| {
+            let ds = f.open_dataset(&ds_field(TOP_GRID, BARYON_FIELDS[i]));
+            f.read_hyperslab(ds, &slab_of(&r.slab(), &top_box), Xfer::Collective)
+        });
 
         // --- Top-grid particles: block hyperslab reads + redistribution.
-        let np = hierarchy.find(TOP_GRID).unwrap().nparticles;
-        let (bs, be) = block_bounds(np, comm.size() as u64, comm.rank() as u64);
-        let mut block = ParticleSet::new();
-        for (name, _) in PARTICLE_ARRAYS.iter() {
-            let ds = f.open_dataset(&ds_field(TOP_GRID, name));
-            let bytes = if be > bs {
+        //     An empty selection is not read.
+        let particles = r.top_particles_blockwise(|a, bs, be| {
+            let ds = f.open_dataset(&ds_field(TOP_GRID, PARTICLE_ARRAYS[a].0));
+            if be > bs {
                 f.read_hyperslab(ds, &Hyperslab::new(&[bs], &[be - bs]), Xfer::Independent)
             } else {
                 Vec::new()
-            };
-            block.set_array_bytes(name, &bytes);
-        }
-        block.validate();
-        let top_particles = scatter_particles_by_slab(comm, &decomp, n, &block);
-
-        // --- Subgrids: round-robin whole-dataset reads. ---
-        let mut my_subgrids = Vec::new();
-        for meta in my_restart_subgrids(&hierarchy, comm.rank()) {
-            let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
-            let pdims = patch.dims();
-            let dims_u = meta.bbox.size();
-            for (i, name) in BARYON_FIELDS.iter().enumerate() {
-                let ds = f.open_dataset(&ds_field(meta.id, name));
-                let bytes = f.read_hyperslab(ds, &Hyperslab::all(&dims_u), Xfer::Independent);
-                patch.fields[i] = amrio_amr::Array3::from_bytes(pdims, &bytes);
             }
-            let mut ps = ParticleSet::new();
-            for (name, _) in PARTICLE_ARRAYS.iter() {
-                let ds = f.open_dataset(&ds_field(meta.id, name));
-                let bytes = if meta.nparticles > 0 {
-                    f.read_hyperslab(ds, &Hyperslab::all(&[meta.nparticles]), Xfer::Independent)
+        });
+
+        // --- Subgrids: round-robin whole-dataset reads; a particle
+        //     array of an empty subgrid is not read.
+        let subgrids = r.subgrids(|meta| {
+            patch_from_arrays(meta, |k, _| {
+                let ds = f.open_dataset(&ds_field(meta.id, array_name(k)));
+                if k < NUM_FIELDS {
+                    let all = Hyperslab::all(&meta.bbox.size());
+                    f.read_hyperslab(ds, &all, Xfer::Independent)
+                } else if meta.nparticles > 0 {
+                    let all = Hyperslab::all(&[meta.nparticles]);
+                    f.read_hyperslab(ds, &all, Xfer::Independent)
                 } else {
                     Vec::new()
-                };
-                ps.set_array_bytes(name, &bytes);
-            }
-            ps.validate();
-            patch.particles = ps;
-            my_subgrids.push(patch);
-        }
-        comm.barrier();
-        rebuild_state(
-            comm,
-            cfg,
-            hierarchy,
-            time,
-            cycle,
-            my_fields,
-            top_particles,
-            my_subgrids,
-        )
+                }
+            })
+        });
+        r.finish(fields, particles, subgrids)
     }
 }

@@ -14,11 +14,11 @@
 //! a coordinated global pattern worth a collective. The `mdms_demo`
 //! bench measures what the metadata is worth.
 
+use super::mpiio::{read_meta, read_subgrid_per_array, Layout};
 use super::*;
-use crate::state::TOP_GRID;
-use amrio_amr::{block_bounds, GridPatch, ParticleSet, BARYON_FIELDS, PARTICLE_ARRAYS};
-use amrio_mdms::{AccessPattern, DatasetRecord, IoAdvice, MdmsDb};
-use amrio_mpiio::{Datatype, Hints, Mode};
+use amrio_amr::{BARYON_FIELDS, PARTICLE_ARRAYS};
+use amrio_mdms::{AccessPattern, DatasetRecord, MdmsDb};
+use amrio_mpiio::{Hints, Mode};
 
 fn mdms_path(dump: u32) -> String {
     format!("DD{dump:04}.mdms")
@@ -34,7 +34,7 @@ pub struct MdmsAdvised;
 pub struct MpiIoNaive;
 
 fn register_checkpoint(db: &mut MdmsDb, st: &SimState, dump: u32) {
-    let layout = super::mpiio::Layout::new(&st.hierarchy);
+    let layout = Layout::new(&st.hierarchy);
     let n = st.cfg.root_n();
     let file = shared_path(dump, "cpio");
     for (i, name) in BARYON_FIELDS.iter().enumerate() {
@@ -90,98 +90,45 @@ impl IoStrategy for MdmsAdvised {
     fn read_checkpoint(&self, comm: &Comm, io: &MpiIo, cfg: &SimConfig, dump: u32) -> SimState {
         let db = MdmsDb::load(comm, io, &mdms_path(dump));
         let nservers = io.fs().lock().config().nservers;
-        let n = cfg.root_n();
+        let advise = |name: &str| db.advise(name, comm.size(), nservers).expect("registered");
         let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Open);
 
         // Hierarchy: the database says it is tiny & sequential -> one
         // reader + broadcast.
         let hmeta = db.lookup("hierarchy").expect("hierarchy registered");
-        let advice = db.advise("hierarchy", comm.size(), nservers).unwrap();
-        let meta = if !advice.root_and_broadcast || comm.rank() == 0 {
-            f.read_at(hmeta.offset, hmeta.bytes())
+        let read = || f.read_at(hmeta.offset, hmeta.bytes());
+        let meta = if advise("hierarchy").root_and_broadcast {
+            from_root(comm, read)
         } else {
-            Vec::new()
+            read().into()
         };
-        let meta = if advice.root_and_broadcast {
-            comm.bcast(0, meta)
-        } else {
-            meta.into()
-        };
-        let (mut hierarchy, time, cycle) = wire::decode_hierarchy(&meta);
-        assign_restart_owners(&mut hierarchy, comm.size());
-        let layout = super::mpiio::Layout::new(&hierarchy);
+        let r = Restart::new(comm, cfg, &meta);
+        let layout = Layout::new(&r.hierarchy);
 
         // Fields: advised collective with a tuned aggregator count.
-        let decomp = amrio_amr::BlockDecomp::new(amrio_amr::CellBox::cube(n), comm.size());
-        let slab = decomp.slab(comm.rank());
-        let s = slab.size();
-        let dims = [s[0] as usize, s[1] as usize, s[2] as usize];
-        let mut my_fields = Vec::with_capacity(NUM_FIELDS);
-        for (i, name) in BARYON_FIELDS.iter().enumerate() {
-            let advice: IoAdvice = db
-                .advise(&format!("top/{name}"), comm.size(), nservers)
-                .expect("field registered");
+        let fields = r.top_fields(|i| {
+            let advice = advise(&format!("top/{}", BARYON_FIELDS[i]));
             let mut hints = Hints::default();
             advice.apply_to(&mut hints);
             f.set_hints(hints);
-            f.set_view(
-                layout.field_off(TOP_GRID, i),
-                Datatype::subarray3([n, n, n], slab.lo, slab.size(), 4),
-            );
-            let bytes = if advice.collective {
+            f.set_view(layout.field_off(TOP_GRID, i), slab_view(r.n(), &r.slab()));
+            if advice.collective {
                 f.read_all_view()
             } else {
                 f.read_view()
-            };
-            my_fields.push(amrio_amr::Array3::from_bytes(dims, &bytes));
-        }
+            }
+        });
 
         // Particles: advised independent block-wise reads.
-        let np = hierarchy.find(TOP_GRID).unwrap().nparticles;
-        let (bs, be) = block_bounds(np, comm.size() as u64, comm.rank() as u64);
-        let mut block = ParticleSet::new();
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let advice = db
-                .advise(&format!("top/{name}"), comm.size(), nservers)
-                .expect("array registered");
+        let particles = r.top_particles_blockwise(|a, bs, be| {
+            let advice = advise(&format!("top/{}", PARTICLE_ARRAYS[a].0));
             assert!(!advice.collective, "1-D block access stays independent");
-            let off = layout.particle_off(TOP_GRID, a) + bs * width;
-            let bytes = f.read_at(off, (be - bs) * width);
-            block.set_array_bytes(name, &bytes);
-        }
-        block.validate();
-        let top_particles = scatter_particles_by_slab(comm, &decomp, n, &block);
+            read_block(&f, layout.particle_off(TOP_GRID, a), a, bs, be)
+        });
 
-        // Subgrids as in the base strategy.
-        let mut my_subgrids = Vec::new();
-        for meta in my_restart_subgrids(&hierarchy, comm.rank()) {
-            let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
-            let pdims = patch.dims();
-            let cells = meta.bbox.cells();
-            for i in 0..NUM_FIELDS {
-                let bytes = f.read_at(layout.field_off(meta.id, i), cells * 4);
-                patch.fields[i] = amrio_amr::Array3::from_bytes(pdims, &bytes);
-            }
-            let mut ps = ParticleSet::new();
-            for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-                let bytes = f.read_at(layout.particle_off(meta.id, a), meta.nparticles * width);
-                ps.set_array_bytes(name, &bytes);
-            }
-            ps.validate();
-            patch.particles = ps;
-            my_subgrids.push(patch);
-        }
-        comm.barrier();
-        rebuild_state(
-            comm,
-            cfg,
-            hierarchy,
-            time,
-            cycle,
-            my_fields,
-            top_particles,
-            my_subgrids,
-        )
+        // Subgrids as in the pattern-blind reader.
+        let subgrids = r.subgrids(|meta| read_subgrid_per_array(&f, &layout, meta));
+        r.finish(fields, particles, subgrids)
     }
 }
 
@@ -195,77 +142,24 @@ impl IoStrategy for MpiIoNaive {
     }
 
     fn read_checkpoint(&self, comm: &Comm, io: &MpiIo, cfg: &SimConfig, dump: u32) -> SimState {
-        let n = cfg.root_n();
         let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Open);
-        let meta = if comm.rank() == 0 {
-            let header = f.read_at(0, 16);
-            let addr = u64::from_le_bytes(header[..8].try_into().unwrap());
-            let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            f.read_at(addr, len)
-        } else {
-            Vec::new()
-        };
-        let meta = comm.bcast(0, meta);
-        let (mut hierarchy, time, cycle) = wire::decode_hierarchy(&meta);
-        assign_restart_owners(&mut hierarchy, comm.size());
-        let layout = super::mpiio::Layout::new(&hierarchy);
+        let r = Restart::new(comm, cfg, &from_root(comm, || read_meta(&f)));
+        let layout = Layout::new(&r.hierarchy);
 
         // No pattern metadata: every rank reads its subarray with
         // independent per-run requests and no sieving.
-        let decomp = amrio_amr::BlockDecomp::new(amrio_amr::CellBox::cube(n), comm.size());
-        let slab = decomp.slab(comm.rank());
-        let s = slab.size();
-        let dims = [s[0] as usize, s[1] as usize, s[2] as usize];
         f.set_hints(Hints {
             ds_read: false,
             ..Hints::default()
         });
-        let mut my_fields = Vec::with_capacity(NUM_FIELDS);
-        for i in 0..NUM_FIELDS {
-            f.set_view(
-                layout.field_off(TOP_GRID, i),
-                Datatype::subarray3([n, n, n], slab.lo, slab.size(), 4),
-            );
-            my_fields.push(amrio_amr::Array3::from_bytes(dims, &f.read_view()));
-        }
-        let np = hierarchy.find(TOP_GRID).unwrap().nparticles;
-        let (bs, be) = block_bounds(np, comm.size() as u64, comm.rank() as u64);
-        let mut block = ParticleSet::new();
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let off = layout.particle_off(TOP_GRID, a) + bs * width;
-            let bytes = f.read_at(off, (be - bs) * width);
-            block.set_array_bytes(name, &bytes);
-        }
-        block.validate();
-        let top_particles = scatter_particles_by_slab(comm, &decomp, n, &block);
-        let mut my_subgrids = Vec::new();
-        for meta in my_restart_subgrids(&hierarchy, comm.rank()) {
-            let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
-            let pdims = patch.dims();
-            let cells = meta.bbox.cells();
-            for i in 0..NUM_FIELDS {
-                let bytes = f.read_at(layout.field_off(meta.id, i), cells * 4);
-                patch.fields[i] = amrio_amr::Array3::from_bytes(pdims, &bytes);
-            }
-            let mut ps = ParticleSet::new();
-            for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-                let bytes = f.read_at(layout.particle_off(meta.id, a), meta.nparticles * width);
-                ps.set_array_bytes(name, &bytes);
-            }
-            ps.validate();
-            patch.particles = ps;
-            my_subgrids.push(patch);
-        }
-        comm.barrier();
-        rebuild_state(
-            comm,
-            cfg,
-            hierarchy,
-            time,
-            cycle,
-            my_fields,
-            top_particles,
-            my_subgrids,
-        )
+        let fields = r.top_fields(|i| {
+            f.set_view(layout.field_off(TOP_GRID, i), slab_view(r.n(), &r.slab()));
+            f.read_view()
+        });
+        let particles = r.top_particles_blockwise(|a, bs, be| {
+            read_block(&f, layout.particle_off(TOP_GRID, a), a, bs, be)
+        });
+        let subgrids = r.subgrids(|meta| read_subgrid_per_array(&f, &layout, meta));
+        r.finish(fields, particles, subgrids)
     }
 }

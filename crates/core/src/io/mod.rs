@@ -6,14 +6,18 @@ pub mod hdf4;
 pub mod hdf5;
 pub mod mdms;
 pub mod mpiio;
+pub(crate) mod restart;
 
 use crate::problem::SimConfig;
 use crate::state::{SimState, TOP_GRID};
 use crate::wire;
 use amrio_amr::{Array3, BlockDecomp, CellBox, GridPatch, Hierarchy, ParticleSet, NUM_FIELDS};
 use amrio_mpi::Comm;
-use amrio_mpiio::{MpiIo, NumType};
-use amrio_simt::SimDur;
+use amrio_mpiio::{Datatype, MpiIo, NumType};
+use amrio_simt::{Bytes, SimDur};
+use restart::{
+    array_len, array_name, from_root, patch_from_arrays, read_block, Restart, GRID_ARRAYS,
+};
 
 pub use hdf4::Hdf4Serial;
 pub use hdf5::Hdf5Parallel;
@@ -27,7 +31,8 @@ const NS_PER_CLASSIFY: u64 = 20;
 
 /// A checkpoint writer/reader. `write_checkpoint` dumps the entire
 /// simulation; `read_checkpoint` reconstructs it (the restart read, which
-/// the paper notes is "pretty much like the new simulation read").
+/// the paper notes is "pretty much like the new simulation read": both
+/// run the one sequence in `io::restart`).
 pub trait IoStrategy: Sync {
     fn name(&self) -> &'static str;
     fn write_checkpoint(&self, comm: &Comm, io: &MpiIo, st: &SimState, dump: u32);
@@ -55,17 +60,9 @@ pub fn particle_numtype(idx: usize) -> NumType {
     }
 }
 
-/// Restart reader assignment: subgrid `k` (hierarchy order) is read by —
-/// and subsequently owned by — rank `k mod P` (round-robin, §3.1).
-pub fn assign_restart_owners(h: &mut Hierarchy, p: usize) {
-    let mut k = 0usize;
-    for g in h.grids.iter_mut() {
-        if g.id == TOP_GRID {
-            continue;
-        }
-        g.owner = k % p;
-        k += 1;
-    }
+/// File view of one top-grid slab: its subarray of the `n`^3 field.
+pub(crate) fn slab_view(n: u64, slab: &CellBox) -> Datatype {
+    Datatype::subarray3([n, n, n], slab.lo, slab.size(), 4)
 }
 
 /// Rank 0 assembles a global field array from gathered slab payloads.
@@ -122,69 +119,4 @@ pub fn extract_slabs(comm: &Comm, decomp: &BlockDecomp, global: &Array3) -> Vec<
     comm.compute(SimDur::from_nanos(runs * NS_PER_RUN));
     comm.compute(SimDur::transfer(global.len() as u64 * 4, comm.mem_bw()));
     out
-}
-
-/// Redistribute top-grid particles to their slab owners (alltoallv of
-/// fixed-size records), charging the per-particle classification.
-pub fn scatter_particles_by_slab(
-    comm: &Comm,
-    decomp: &BlockDecomp,
-    n: u64,
-    ps: &ParticleSet,
-) -> ParticleSet {
-    comm.compute(SimDur::from_nanos(ps.len() as u64 * NS_PER_CLASSIFY));
-    let mut payloads: Vec<Vec<u8>> = (0..comm.size()).map(|_| Vec::new()).collect();
-    for i in 0..ps.len() {
-        let pos = [ps.pos[0][i], ps.pos[1][i], ps.pos[2][i]];
-        let dst = decomp.owner_of_pos(pos, [n, n, n]);
-        wire::push_particle(&mut payloads[dst], ps, i);
-    }
-    let received = comm.alltoallv(wire::non_empty(payloads));
-    let mut mine = ParticleSet::new();
-    for (_, part) in &received {
-        wire::read_particles(part, &mut mine);
-    }
-    mine
-}
-
-/// Reassemble a [`SimState`] after a restart read.
-#[allow(clippy::too_many_arguments)]
-pub fn rebuild_state(
-    comm: &Comm,
-    cfg: &SimConfig,
-    hierarchy: Hierarchy,
-    time: f64,
-    cycle: u64,
-    top_fields: Vec<Array3>,
-    top_particles: ParticleSet,
-    my_subgrids: Vec<GridPatch>,
-) -> SimState {
-    assert_eq!(top_fields.len(), NUM_FIELDS);
-    let n = cfg.root_n();
-    let decomp = BlockDecomp::new(CellBox::cube(n), comm.size());
-    let slab = decomp.slab(comm.rank());
-    let mut my_top = GridPatch::new(TOP_GRID, 0, slab);
-    my_top.fields = top_fields;
-    my_top.particles = top_particles;
-    let next_grid_id = hierarchy.grids.iter().map(|g| g.id).max().unwrap_or(0) + 1;
-    SimState {
-        cfg: cfg.clone(),
-        decomp,
-        hierarchy,
-        my_top,
-        my_subgrids,
-        time,
-        cycle,
-        next_grid_id,
-    }
-}
-
-/// Subgrids this rank must read in a restart, with their metadata, in
-/// hierarchy order.
-pub fn my_restart_subgrids(h: &Hierarchy, rank: usize) -> Vec<amrio_amr::GridMeta> {
-    h.grids
-        .iter()
-        .filter(|g| g.id != TOP_GRID && g.owner == rank)
-        .cloned()
-        .collect()
 }

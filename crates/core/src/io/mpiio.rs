@@ -7,9 +7,8 @@
 
 use super::*;
 use crate::sort::parallel_sort_by_id;
-use amrio_amr::block_bounds;
-use amrio_amr::{GridPatch, Hierarchy, ParticleSet, PARTICLE_ARRAYS};
-use amrio_mpiio::{Datatype, Mode};
+use amrio_amr::{GridMeta, GridPatch, Hierarchy, PARTICLE_ARRAYS};
+use amrio_mpiio::{Mode, MpiFile};
 
 /// The optimized parallel strategy: everything in one shared file
 /// (paper §3.3 argues this benefits restart reads and tape migration).
@@ -25,19 +24,21 @@ fn subgrid_file(dump: u32, gid: u64) -> String {
     format!("DD{dump:04}.g{gid:06}.cpio")
 }
 
+/// Offsets of one grid's arrays laid out back-to-back from `*cur`, in
+/// file order; advances `*cur` past them.
+fn pack(meta: &GridMeta, cur: &mut u64) -> Vec<u64> {
+    (0..GRID_ARRAYS)
+        .map(|k| {
+            let off = *cur;
+            *cur += array_len(meta, k);
+            off
+        })
+        .collect()
+}
+
 /// Per-subgrid layout when each subgrid lives in its own file.
-fn subgrid_offsets(meta: &amrio_amr::GridMeta) -> Vec<u64> {
-    let mut cur = 0u64;
-    let mut per = Vec::with_capacity(NUM_FIELDS + PARTICLE_ARRAYS.len());
-    for _ in 0..NUM_FIELDS {
-        per.push(cur);
-        cur += meta.bbox.cells() * 4;
-    }
-    for (_, width) in PARTICLE_ARRAYS.iter() {
-        per.push(cur);
-        cur += meta.nparticles * width;
-    }
-    per
+fn subgrid_offsets(meta: &GridMeta) -> Vec<u64> {
+    pack(meta, &mut 0)
 }
 
 /// Deterministic layout of the shared checkpoint file, computed
@@ -56,20 +57,7 @@ pub const HEADER: u64 = 64;
 impl Layout {
     pub fn new(h: &Hierarchy) -> Layout {
         let mut cur = HEADER;
-        let mut offsets = Vec::with_capacity(h.grids.len());
-        for g in &h.grids {
-            let mut per = Vec::with_capacity(NUM_FIELDS + PARTICLE_ARRAYS.len());
-            let cells = g.bbox.cells();
-            for _ in 0..NUM_FIELDS {
-                per.push(cur);
-                cur += cells * 4;
-            }
-            for (_, width) in PARTICLE_ARRAYS.iter() {
-                per.push(cur);
-                cur += g.nparticles * width;
-            }
-            offsets.push((g.id, per));
-        }
+        let offsets = h.grids.iter().map(|g| (g.id, pack(g, &mut cur))).collect();
         Layout {
             offsets,
             meta_addr: cur,
@@ -77,26 +65,84 @@ impl Layout {
     }
 
     pub fn field_off(&self, gid: u64, field: usize) -> u64 {
-        self.entry(gid)[field]
+        self.array_off(gid, field)
     }
 
     pub fn particle_off(&self, gid: u64, array: usize) -> u64 {
-        self.entry(gid)[NUM_FIELDS + array]
+        self.array_off(gid, NUM_FIELDS + array)
     }
 
-    fn entry(&self, gid: u64) -> &[u64] {
-        &self
-            .offsets
+    /// Offset of array `k` (file order: fields, then particle arrays).
+    fn array_off(&self, gid: u64, k: usize) -> u64 {
+        self.offsets
             .iter()
             .find(|(id, _)| *id == gid)
             .unwrap_or_else(|| panic!("grid {gid} not in layout"))
-            .1
+            .1[k]
     }
 }
 
-fn slab_view(n: u64, slab: &amrio_amr::CellBox) -> Datatype {
-    let s = slab.size();
-    Datatype::subarray3([n, n, n], slab.lo, s, 4)
+/// The arrays of one subgrid in file order, particles sorted by ID.
+fn grid_arrays(g: &GridPatch) -> Vec<Vec<u8>> {
+    let mut sorted = g.particles.clone();
+    sorted.sort_by_id();
+    g.fields
+        .iter()
+        .map(|f| f.to_bytes())
+        .chain(
+            PARTICLE_ARRAYS
+                .iter()
+                .map(|(name, _)| sorted.array_bytes(name)),
+        )
+        .collect()
+}
+
+/// Top grid into the shared file: collective I/O with subarray views
+/// for the fields; a parallel sort by ID, then block-wise contiguous
+/// independent writes, for the particles.
+fn write_top_grid(comm: &Comm, f: &mut MpiFile<'_, '_>, st: &SimState, layout: &Layout) {
+    let n = st.cfg.root_n();
+    for i in 0..NUM_FIELDS {
+        f.set_view(layout.field_off(TOP_GRID, i), slab_view(n, &st.my_top.bbox));
+        f.write_all_view(&st.my_top.fields[i].to_bytes());
+    }
+    let (chunk, counts) = parallel_sort_by_id(comm, st.my_top.particles.clone());
+    let my_start: u64 = counts[..comm.rank()].iter().sum();
+    for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
+        let off = layout.particle_off(TOP_GRID, a) + my_start * width;
+        f.write_at(off, &chunk.array_bytes(name));
+    }
+}
+
+/// Rank 0 appends the hierarchy and fills the header.
+fn write_meta(comm: &Comm, f: &MpiFile<'_, '_>, st: &SimState, layout: &Layout) {
+    if comm.rank() == 0 {
+        let meta = wire::encode_hierarchy(&st.hierarchy, st.time, st.cycle);
+        f.write_at(layout.meta_addr, &meta);
+        let mut header = Vec::with_capacity(HEADER as usize);
+        header.extend_from_slice(&layout.meta_addr.to_le_bytes());
+        header.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+        header.resize(HEADER as usize, 0);
+        f.write_at(0, &header);
+    }
+}
+
+/// The encoded hierarchy the header points at.
+pub(crate) fn read_meta(f: &MpiFile<'_, '_>) -> Vec<u8> {
+    let header = f.read_at(0, 16);
+    let addr = u64::from_le_bytes(header[..8].try_into().expect("8-byte field"));
+    let len = u64::from_le_bytes(header[8..16].try_into().expect("8-byte field"));
+    f.read_at(addr, len)
+}
+
+/// Subgrid `meta` of the shared file as one independent request per
+/// array.
+pub(crate) fn read_subgrid_per_array(
+    f: &MpiFile<'_, '_>,
+    layout: &Layout,
+    meta: &GridMeta,
+) -> GridPatch {
+    patch_from_arrays(meta, |k, len| f.read_at(layout.array_off(meta.id, k), len))
 }
 
 impl MpiIoOptimized {
@@ -107,83 +153,67 @@ impl MpiIoOptimized {
         dump: u32,
         write_behind: bool,
     ) {
-        let n = st.cfg.root_n();
         let layout = Layout::new(&st.hierarchy);
         let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Create);
-        if write_behind {
+        if write_behind && io.advisory().write_behind.is_none() {
             // Stage independent writes (particle chunks, subgrid arrays)
-            // locally; adjacent arrays coalesce into large requests.
+            // locally; adjacent arrays coalesce into large requests. An
+            // advisory's capacity, armed at open, stands.
             f.enable_write_behind(4 << 20);
         }
-
-        // --- Top-grid fields: collective I/O with subarray views. ---
-        for i in 0..NUM_FIELDS {
-            f.set_view(layout.field_off(TOP_GRID, i), slab_view(n, &st.my_top.bbox));
-            f.write_all_view(&st.my_top.fields[i].to_bytes());
-        }
-
-        // --- Top-grid particles: parallel sort by ID, then block-wise
-        //     contiguous independent writes. ---
-        let (chunk, counts) = parallel_sort_by_id(comm, st.my_top.particles.clone());
-        let my_start: u64 = counts[..comm.rank()].iter().sum();
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let off = layout.particle_off(TOP_GRID, a) + my_start * width;
-            f.write_at(off, &chunk.array_bytes(name));
-        }
+        write_top_grid(comm, &mut f, st, &layout);
 
         // --- Subgrids: owners write into the shared file, no
         //     communication (paper §3.1). The 17 per-grid arrays are
         //     laid out back-to-back, so without write-behind staging
         //     they go down as one gathered request per grid.
         for g in &st.my_subgrids {
-            let mut sorted = g.particles.clone();
-            sorted.sort_by_id();
+            let arrays = grid_arrays(g);
             if write_behind {
-                for i in 0..NUM_FIELDS {
-                    f.write_at(layout.field_off(g.id, i), &g.fields[i].to_bytes());
-                }
-                for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-                    f.write_at(layout.particle_off(g.id, a), &sorted.array_bytes(name));
+                for (k, a) in arrays.iter().enumerate() {
+                    f.write_at(layout.array_off(g.id, k), a);
                 }
             } else {
-                let arrays: Vec<Vec<u8>> = (0..NUM_FIELDS)
-                    .map(|i| g.fields[i].to_bytes())
-                    .chain(
-                        PARTICLE_ARRAYS
-                            .iter()
-                            .map(|(name, _)| sorted.array_bytes(name)),
-                    )
-                    .collect();
-                #[cfg(debug_assertions)]
-                {
-                    let mut cur = layout.field_off(g.id, 0);
-                    for (i, a) in arrays.iter().enumerate() {
-                        let expect = if i < NUM_FIELDS {
-                            layout.field_off(g.id, i)
-                        } else {
-                            layout.particle_off(g.id, i - NUM_FIELDS)
-                        };
-                        debug_assert_eq!(cur, expect, "subgrid arrays must be contiguous");
-                        cur += a.len() as u64;
-                    }
-                }
+                let start = layout.array_off(g.id, 0);
+                debug_assert!(
+                    arrays.iter().enumerate().all(|(k, a)| {
+                        let end = layout.array_off(g.id, k) + a.len() as u64;
+                        k + 1 == GRID_ARRAYS || end == layout.array_off(g.id, k + 1)
+                    }),
+                    "subgrid arrays must be contiguous"
+                );
                 let parts: Vec<&[u8]> = arrays.iter().map(|a| a.as_slice()).collect();
-                f.write_gather_at(layout.field_off(g.id, 0), &parts);
+                f.write_gather_at(start, &parts);
             }
         }
-
-        // --- Metadata: rank 0 appends the hierarchy and fills the header.
-        if comm.rank() == 0 {
-            let meta = wire::encode_hierarchy(&st.hierarchy, st.time, st.cycle);
-            f.write_at(layout.meta_addr, &meta);
-            let mut header = Vec::with_capacity(HEADER as usize);
-            header.extend_from_slice(&layout.meta_addr.to_le_bytes());
-            header.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-            header.resize(HEADER as usize, 0);
-            f.write_at(0, &header);
-        }
+        write_meta(comm, &f, st, &layout);
         f.flush_write_behind();
         comm.barrier();
+    }
+
+    /// Restart from the shared file: rank 0 reads the header and the
+    /// hierarchy, collective view reads fetch the top-grid fields and
+    /// block-wise contiguous reads the particles; `subgrid` reads each
+    /// owned subgrid.
+    fn read_shared(
+        comm: &Comm,
+        io: &MpiIo,
+        cfg: &SimConfig,
+        dump: u32,
+        mut subgrid: impl FnMut(&MpiFile<'_, '_>, &Layout, &GridMeta) -> GridPatch,
+    ) -> SimState {
+        let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Open);
+        let r = Restart::new(comm, cfg, &from_root(comm, || read_meta(&f)));
+        let layout = Layout::new(&r.hierarchy);
+        let fields = r.top_fields(|i| {
+            f.set_view(layout.field_off(TOP_GRID, i), slab_view(r.n(), &r.slab()));
+            f.read_all_view()
+        });
+        let particles = r.top_particles_blockwise(|a, bs, be| {
+            read_block(&f, layout.particle_off(TOP_GRID, a), a, bs, be)
+        });
+        let subgrids = r.subgrids(|meta| subgrid(&f, &layout, meta));
+        r.finish(fields, particles, subgrids)
     }
 }
 
@@ -201,92 +231,16 @@ impl IoStrategy for MpiIoOptimized {
     }
 
     fn read_checkpoint(&self, comm: &Comm, io: &MpiIo, cfg: &SimConfig, dump: u32) -> SimState {
-        let n = cfg.root_n();
-        let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Open);
-
-        // Metadata: rank 0 reads header + hierarchy, broadcasts.
-        let meta = if comm.rank() == 0 {
-            let header = f.read_at(0, 16);
-            let addr = u64::from_le_bytes(header[..8].try_into().unwrap());
-            let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            f.read_at(addr, len)
-        } else {
-            Vec::new()
-        };
-        let meta = comm.bcast(0, meta);
-        let (mut hierarchy, time, cycle) = wire::decode_hierarchy(&meta);
-        assign_restart_owners(&mut hierarchy, comm.size());
-        let layout = Layout::new(&hierarchy);
-
-        // --- Top-grid fields: collective reads with subarray views. ---
-        let decomp = amrio_amr::BlockDecomp::new(amrio_amr::CellBox::cube(n), comm.size());
-        let slab = decomp.slab(comm.rank());
-        let s = slab.size();
-        let dims = [s[0] as usize, s[1] as usize, s[2] as usize];
-        let mut my_fields = Vec::with_capacity(NUM_FIELDS);
-        for i in 0..NUM_FIELDS {
-            f.set_view(layout.field_off(TOP_GRID, i), slab_view(n, &slab));
-            my_fields.push(amrio_amr::Array3::from_bytes(dims, &f.read_all_view()));
-        }
-
-        // --- Top-grid particles: block-wise contiguous reads, then
-        //     redistribution by particle position (paper §3.2). ---
-        let np = hierarchy.find(TOP_GRID).unwrap().nparticles;
-        let (bs, be) = block_bounds(np, comm.size() as u64, comm.rank() as u64);
-        let mut block = ParticleSet::new();
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let off = layout.particle_off(TOP_GRID, a) + bs * width;
-            let bytes = f.read_at(off, (be - bs) * width);
-            block.set_array_bytes(name, &bytes);
-        }
-        block.validate();
-        let top_particles = scatter_particles_by_slab(comm, &decomp, n, &block);
-
-        // --- Subgrids: round-robin independent reads. All 17 per-grid
-        //     arrays are contiguous in the shared file, so each grid is
-        //     one scattered read into its destination buffers.
-        let mut my_subgrids = Vec::new();
-        for meta in my_restart_subgrids(&hierarchy, comm.rank()) {
-            let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
-            let pdims = patch.dims();
-            let cells = meta.bbox.cells();
-            let mut field_bufs: Vec<Vec<u8>> = (0..NUM_FIELDS)
-                .map(|_| vec![0u8; (cells * 4) as usize])
+        // All 17 per-grid arrays are contiguous in the shared file, so
+        // each subgrid is one scattered read into its destination buffers.
+        MpiIoOptimized::read_shared(comm, io, cfg, dump, |f, layout, meta| {
+            let mut bufs: Vec<Vec<u8>> = (0..GRID_ARRAYS)
+                .map(|k| vec![0u8; array_len(meta, k) as usize])
                 .collect();
-            let mut part_bufs: Vec<Vec<u8>> = PARTICLE_ARRAYS
-                .iter()
-                .map(|(_, width)| vec![0u8; (meta.nparticles * width) as usize])
-                .collect();
-            {
-                let mut parts: Vec<&mut [u8]> = field_bufs
-                    .iter_mut()
-                    .map(|b| b.as_mut_slice())
-                    .chain(part_bufs.iter_mut().map(|b| b.as_mut_slice()))
-                    .collect();
-                f.read_scatter_at(layout.field_off(meta.id, 0), &mut parts);
-            }
-            for (i, bytes) in field_bufs.iter().enumerate() {
-                patch.fields[i] = amrio_amr::Array3::from_bytes(pdims, bytes);
-            }
-            let mut ps = ParticleSet::new();
-            for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-                ps.set_array_bytes(name, &part_bufs[a]);
-            }
-            ps.validate();
-            patch.particles = ps;
-            my_subgrids.push(patch);
-        }
-        comm.barrier();
-        rebuild_state(
-            comm,
-            cfg,
-            hierarchy,
-            time,
-            cycle,
-            my_fields,
-            top_particles,
-            my_subgrids,
-        )
+            let mut parts: Vec<&mut [u8]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+            f.read_scatter_at(layout.field_off(meta.id, 0), &mut parts);
+            patch_from_arrays(meta, |k, _| std::mem::take(&mut bufs[k]))
+        })
     }
 }
 
@@ -297,113 +251,28 @@ impl IoStrategy for MpiIoMultiFile {
 
     fn write_checkpoint(&self, comm: &Comm, io: &MpiIo, st: &SimState, dump: u32) {
         // Top-grid exactly as the shared-file strategy...
-        let n = st.cfg.root_n();
         let layout = Layout::new(&st.hierarchy);
         let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Create);
-        for i in 0..NUM_FIELDS {
-            f.set_view(layout.field_off(TOP_GRID, i), slab_view(n, &st.my_top.bbox));
-            f.write_all_view(&st.my_top.fields[i].to_bytes());
-        }
-        let (chunk, counts) = parallel_sort_by_id(comm, st.my_top.particles.clone());
-        let my_start: u64 = counts[..comm.rank()].iter().sum();
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let off = layout.particle_off(TOP_GRID, a) + my_start * width;
-            f.write_at(off, &chunk.array_bytes(name));
-        }
+        write_top_grid(comm, &mut f, st, &layout);
         // ...but every subgrid goes to its own file.
         for g in &st.my_subgrids {
-            let meta = st.hierarchy.find(g.id).expect("meta").clone();
-            let offs = subgrid_offsets(&meta);
+            let offs = subgrid_offsets(st.hierarchy.find(g.id).expect("meta"));
             let gf = io.open_single(comm, &subgrid_file(dump, g.id), Mode::Create);
-            let mut sorted = g.particles.clone();
-            sorted.sort_by_id();
-            for (i, off) in offs.iter().take(NUM_FIELDS).enumerate() {
-                gf.write_at(*off, &g.fields[i].to_bytes());
-            }
-            for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-                gf.write_at(offs[NUM_FIELDS + a], &sorted.array_bytes(name));
+            for (off, a) in offs.iter().zip(grid_arrays(g)) {
+                gf.write_at(*off, &a);
             }
         }
-        if comm.rank() == 0 {
-            let meta = wire::encode_hierarchy(&st.hierarchy, st.time, st.cycle);
-            f.write_at(layout.meta_addr, &meta);
-            let mut header = Vec::with_capacity(HEADER as usize);
-            header.extend_from_slice(&layout.meta_addr.to_le_bytes());
-            header.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-            header.resize(HEADER as usize, 0);
-            f.write_at(0, &header);
-        }
+        write_meta(comm, &f, st, &layout);
         comm.barrier();
     }
 
     fn read_checkpoint(&self, comm: &Comm, io: &MpiIo, cfg: &SimConfig, dump: u32) -> SimState {
-        let n = cfg.root_n();
-        let mut f = io.open(comm, &shared_path(dump, "cpio"), Mode::Open);
-        let meta = if comm.rank() == 0 {
-            let header = f.read_at(0, 16);
-            let addr = u64::from_le_bytes(header[..8].try_into().unwrap());
-            let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            f.read_at(addr, len)
-        } else {
-            Vec::new()
-        };
-        let meta = comm.bcast(0, meta);
-        let (mut hierarchy, time, cycle) = wire::decode_hierarchy(&meta);
-        assign_restart_owners(&mut hierarchy, comm.size());
-        let layout = Layout::new(&hierarchy);
-
-        let decomp = amrio_amr::BlockDecomp::new(amrio_amr::CellBox::cube(n), comm.size());
-        let slab = decomp.slab(comm.rank());
-        let s = slab.size();
-        let dims = [s[0] as usize, s[1] as usize, s[2] as usize];
-        let mut my_fields = Vec::with_capacity(NUM_FIELDS);
-        for i in 0..NUM_FIELDS {
-            f.set_view(layout.field_off(TOP_GRID, i), slab_view(n, &slab));
-            my_fields.push(amrio_amr::Array3::from_bytes(dims, &f.read_all_view()));
-        }
-        let np = hierarchy.find(TOP_GRID).unwrap().nparticles;
-        let (bs, be) = block_bounds(np, comm.size() as u64, comm.rank() as u64);
-        let mut block = ParticleSet::new();
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let off = layout.particle_off(TOP_GRID, a) + bs * width;
-            let bytes = f.read_at(off, (be - bs) * width);
-            block.set_array_bytes(name, &bytes);
-        }
-        block.validate();
-        let top_particles = scatter_particles_by_slab(comm, &decomp, n, &block);
-
         // Subgrids: one open + reads per file (the cost §3.3 avoids).
-        let mut my_subgrids = Vec::new();
-        for meta in my_restart_subgrids(&hierarchy, comm.rank()) {
-            let offs = subgrid_offsets(&meta);
+        MpiIoOptimized::read_shared(comm, io, cfg, dump, |_, _, meta| {
+            let offs = subgrid_offsets(meta);
             let gf = io.open_single(comm, &subgrid_file(dump, meta.id), Mode::Open);
-            let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
-            let pdims = patch.dims();
-            let cells = meta.bbox.cells();
-            for (i, off) in offs.iter().take(NUM_FIELDS).enumerate() {
-                let bytes = gf.read_at(*off, cells * 4);
-                patch.fields[i] = amrio_amr::Array3::from_bytes(pdims, &bytes);
-            }
-            let mut ps = ParticleSet::new();
-            for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-                let bytes = gf.read_at(offs[NUM_FIELDS + a], meta.nparticles * width);
-                ps.set_array_bytes(name, &bytes);
-            }
-            ps.validate();
-            patch.particles = ps;
-            my_subgrids.push(patch);
-        }
-        comm.barrier();
-        rebuild_state(
-            comm,
-            cfg,
-            hierarchy,
-            time,
-            cycle,
-            my_fields,
-            top_particles,
-            my_subgrids,
-        )
+            patch_from_arrays(meta, |k, len| gf.read_at(offs[k], len))
+        })
     }
 }
 

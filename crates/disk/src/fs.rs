@@ -108,12 +108,11 @@ pub struct Piece {
     pub file_off: u64,
 }
 
-/// One I/O request against a [`Pfs`]: the unified surface behind the
-/// legacy `write_at`/`write_gather`/`read_at`/`read_scatter` quartet.
-/// Every request is a single contiguous file range; the vectored
-/// variants only change where the bytes live in *host* memory, so the
-/// fault layer, tracer, and checker all intercept one choke point
-/// ([`Pfs::submit`]) instead of four.
+/// One I/O request against a [`Pfs`]. Every request is a single
+/// contiguous file range; the vectored variants only change where the
+/// bytes live in *host* memory, and are priced and traced exactly like
+/// the scalar op of the total length. The fault layer, tracer, and
+/// checker all intercept one choke point ([`Pfs::submit`]).
 #[derive(Debug)]
 pub enum IoOp<'a, 'b> {
     /// Write `data` at file offset `off`.
@@ -745,27 +744,6 @@ impl Pfs {
         }
     }
 
-    /// Vectored write: one contiguous file range `[off, off + Σlen)`
-    /// supplied as scattered host-memory parts (pwritev-style). Priced
-    /// and traced exactly like a single [`Pfs::write_at`] of the total
-    /// length — the point is that the *host* side skips assembling the
-    /// parts into one staging buffer first.
-    pub fn write_gather(
-        &mut self,
-        client: Endpoint,
-        net: &mut Net,
-        f: FileId,
-        off: u64,
-        parts: &[&[u8]],
-        t: SimTime,
-    ) -> SimTime {
-        let mut op = IoOp::WriteGather { off, parts };
-        match self.submit(client, net, f, &mut op, t) {
-            Ok(c) => c.done,
-            Err(e) => panic!("write_gather: unhandled I/O fault: {e}"),
-        }
-    }
-
     /// The simulated-time model of one contiguous write: stats, client
     /// queue + streaming path, striping into per-server pieces, GPFS
     /// token traffic, and server disk access. Returns `(queued start,
@@ -859,26 +837,6 @@ impl Pfs {
         match self.submit(client, net, f, &mut op, t) {
             Ok(c) => (c.done, c.data.expect("read completion carries data")),
             Err(e) => panic!("read_at: unhandled I/O fault: {e}"),
-        }
-    }
-
-    /// Vectored read: one contiguous file range `[off, off + Σlen)`
-    /// scattered into the supplied host-memory parts (preadv-style).
-    /// Priced and traced exactly like a single [`Pfs::read_at`] of the
-    /// total length.
-    pub fn read_scatter(
-        &mut self,
-        client: Endpoint,
-        net: &mut Net,
-        f: FileId,
-        off: u64,
-        parts: &mut [&mut [u8]],
-        t: SimTime,
-    ) -> SimTime {
-        let mut op = IoOp::ReadScatter { off, parts };
-        match self.submit(client, net, f, &mut op, t) {
-            Ok(c) => c.done,
-            Err(e) => panic!("read_scatter: unhandled I/O fault: {e}"),
         }
     }
 
@@ -1215,7 +1173,8 @@ mod tests {
             let (fsc, ts0) = fs_s.create(0, &mut net_s, "a", SimTime::ZERO);
 
             let refs: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-            let tg = fs_g.write_gather(0, &mut net_g, fg, off, &refs, tg0);
+            let mut op = IoOp::WriteGather { off, parts: &refs };
+            let tg = fs_g.submit(0, &mut net_g, fg, &mut op, tg0).unwrap().done;
             let ts = fs_s.write_at(0, &mut net_s, fsc, off, &flat, ts0);
             assert_eq!(tg, ts, "vectored write must be priced as one scalar op");
             assert_eq!(fs_g.image_digest(), fs_s.image_digest());
@@ -1224,7 +1183,11 @@ mod tests {
             let mut bufs: Vec<Vec<u8>> = parts.iter().map(|p| vec![0u8; p.len()]).collect();
             {
                 let mut mrefs: Vec<&mut [u8]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-                let tr = fs_g.read_scatter(0, &mut net_g, fg, off, &mut mrefs, tg);
+                let mut op = IoOp::ReadScatter {
+                    off,
+                    parts: &mut mrefs,
+                };
+                let tr = fs_g.submit(0, &mut net_g, fg, &mut op, tg).unwrap().done;
                 let (tr_s, got) = fs_s.read_at(0, &mut net_s, fsc, off, flat.len() as u64, ts);
                 assert_eq!(tr, tr_s, "vectored read must be priced as one scalar op");
                 assert_eq!(got, flat);
@@ -1243,7 +1206,12 @@ mod tests {
         let (mut fs, mut net) = striped(2, 1024);
         fs.trace.enable();
         let (f, t0) = fs.create(0, &mut net, "a", SimTime::ZERO);
-        fs.write_gather(0, &mut net, f, 64, &[&[1u8; 100], &[2u8; 50][..]], t0);
+        let parts: [&[u8]; 2] = [&[1u8; 100], &[2u8; 50]];
+        let mut op = IoOp::WriteGather {
+            off: 64,
+            parts: &parts,
+        };
+        fs.submit(0, &mut net, f, &mut op, t0).unwrap();
         let w: Vec<_> = fs
             .trace
             .events

@@ -32,8 +32,6 @@ use amrio_simt::SimDur;
 const NS_PER_SORT_ITEM: u64 = 30;
 /// Per-particle classify cost of the restart position scatter.
 const NS_PER_CLASSIFY: u64 = 20;
-/// Write-behind staging capacity the runtime strategies use.
-const WB_CAPACITY: usize = 4 << 20;
 
 /// One candidate configuration the cost model can price and the search
 /// can ship as an [`Advisory`].
@@ -264,11 +262,9 @@ fn flush_gather(f: &MpiFile<'_, '_>, parts: &mut Vec<(u64, u64)>) {
 fn write_file(comm: &Comm, io: &MpiIo, file: &FilePlan) {
     let me = comm.rank();
     let p = comm.size();
+    // An advisory's write-behind capacity is armed at open.
     let mut f = io.open(comm, &file.path, Mode::Create);
     let wb = io.advisory().write_behind.is_some();
-    if wb {
-        f.enable_write_behind(WB_CAPACITY);
-    }
 
     let npart = particle_count(file);
     let mut sorted = false;

@@ -26,8 +26,9 @@ cargo test -q --test checker
 echo "== planner self-verification (plan_report)"
 cargo run --release --example plan_report
 
-echo "== tune smoke (zero Error lints on presets; advisory beats every preset)"
-cargo run --release -q -p amrio-bench --bin tune -- --smoke
+echo "== tune (zero Error lints on presets; advisory beats every preset; committed CSV of the strategy matrix regenerates byte-identically)"
+cargo run --release -q -p amrio-bench --bin tune
+git diff --exit-code -- results/tune.csv
 
 echo "== verify (static happens-before verdicts vs runtime checker, zero false negatives; committed CSV regenerates byte-identically)"
 cargo run --release -q -p amrio-bench --bin verify

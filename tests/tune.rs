@@ -141,3 +141,31 @@ fn advisories_keep_checkpoint_bytes_identical() {
         }
     }
 }
+
+/// The advisory's write-behind capacity is the one the dump stages with:
+/// a 64 KiB buffer flushes more often than a 4 MiB one, so it issues
+/// more write requests (same bytes either way).
+#[test]
+fn advisory_write_behind_capacity_is_honoured() {
+    let (platform, cfg) = cell();
+    let writes = |cap: usize| {
+        let tune = TuneConfig {
+            label: format!("wb{cap}"),
+            hints: Hints::default(),
+            app_stripe: None,
+            write_behind: Some(cap),
+        };
+        let out = Experiment::new(&platform, &cfg, &MpiIoOptimized)
+            .cycles(2)
+            .advisory(tune.advisory())
+            .probe()
+            .run();
+        let probe = out.probe.expect("probe requested");
+        let n = probe.events.iter().filter(|e| e.write).count();
+        (n, out.report.image_digest)
+    };
+    let (small, small_digest) = writes(64 << 10);
+    let (large, large_digest) = writes(4 << 20);
+    assert_eq!(small_digest, large_digest, "capacity never changes bytes");
+    assert!(small > large, "64 KiB: {small} writes, 4 MiB: {large}");
+}
