@@ -367,26 +367,74 @@ mod fault_tests {
         assert_eq!(m1, m2, "fault recovery must be deterministic");
     }
 
-    /// A transient budget larger than max_retries makes the op fail for
-    /// good — the panic surfaces through the legacy wrapper.
+    /// A transient budget larger than max_retries makes every request
+    /// fail for good: each request family panics naming its operation.
     #[test]
-    #[should_panic(expected = "unrecoverable I/O fault")]
     fn exhausted_retries_panic_through_wrappers() {
-        let w = World::new(1, NetConfig::ccnuma(1));
-        let mut io = MpiIo::new(test_fs(1));
-        io.set_retry_policy(RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        });
-        io.attach_faults(Arc::new(FaultPlan::new().with_transient_errors(
-            0,
-            window_secs(0.0, 1.0e6),
-            1000,
-        )));
-        w.run(|c| {
-            let f = io.open(c, "x", Mode::Create);
-            f.write_at(0, &[1u8; 64]);
-        });
+        let two_runs = || Datatype::Hindexed {
+            blocks: vec![(0, 64), (4096, 64)],
+        };
+        fn hints(ds: bool) -> Hints {
+            Hints {
+                ds_read: ds,
+                ds_write: ds,
+                ..Hints::default()
+            }
+        }
+        type Family = (&'static str, fn(&mut MpiFile<'_, '_>));
+        let families: [Family; 10] = [
+            ("independent write", |f| f.write_at(0, &[1u8; 64])),
+            ("independent read", |f| drop(f.read_at(0, 64))),
+            ("gathered write", |f| f.write_gather_at(0, &[&[1u8; 64]])),
+            ("scattered read", |f| {
+                f.read_scatter_at(0, &mut [&mut [0u8; 64]])
+            }),
+            ("view write", |f| {
+                f.set_hints(hints(false));
+                f.write_view(&[1u8; 128]);
+            }),
+            ("view read", |f| {
+                f.set_hints(hints(false));
+                drop(f.read_view());
+            }),
+            ("sieved read", |f| {
+                f.set_hints(hints(true));
+                drop(f.read_view());
+            }),
+            ("sieved write", |f| {
+                f.set_hints(hints(true));
+                f.write_view(&[1u8; 128]);
+            }),
+            ("two-phase write", |f| f.write_all_view(&[1u8; 128])),
+            ("two-phase read", |f| drop(f.read_all_view())),
+        ];
+        for (what, op) in families {
+            let w = World::new(1, NetConfig::ccnuma(1));
+            let mut io = MpiIo::new(test_fs(1));
+            io.set_retry_policy(RetryPolicy {
+                max_retries: 2,
+                ..RetryPolicy::default()
+            });
+            io.attach_faults(Arc::new(FaultPlan::new().with_transient_errors(
+                0,
+                window_secs(0.0, 1.0e6),
+                1000,
+            )));
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.run(|c| {
+                    let mut f = io.open(c, "x", Mode::Create);
+                    f.set_view(0, two_runs());
+                    op(&mut f);
+                })
+            }))
+            .expect_err(what);
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let want = format!("{what}: unrecoverable I/O fault");
+            assert!(msg.starts_with(&want), "{what}: panicked with {msg:?}");
+        }
     }
 
     /// A server that fails permanently mid-run is dropped from the
