@@ -11,12 +11,9 @@
 //! redistribution on ccNUMA, adapter-bound redistribution on Ethernet,
 //! stripe/token interactions on GPFS — emerge mechanically.
 
-use crate::datatype::Region;
+use crate::datatype::{buffer_positions, cb_windows, intersect, normalize, Region};
 use crate::file::MpiFile;
-use crate::retry::submit_retrying;
-use amrio_disk::IoOp;
 use amrio_simt::{Bytes, SimDur};
-use std::sync::Arc;
 
 fn encode_regions(regions: &[Region]) -> Vec<u8> {
     let mut out = Vec::with_capacity(regions.len() * 16);
@@ -136,37 +133,6 @@ pub fn file_domains(lo: u64, hi: u64, naggs: usize, align: u64) -> Vec<(u64, u64
         .collect()
 }
 
-/// Intersect `regions` (with running buffer positions) against `[ds, de)`;
-/// yields (file offset, buffer range) pairs.
-fn intersect<'r>(
-    regions: &'r [Region],
-    buf_pos: &'r [u64],
-    ds: u64,
-    de: u64,
-) -> impl Iterator<Item = (u64, std::ops::Range<usize>)> + 'r {
-    regions
-        .iter()
-        .zip(buf_pos)
-        .filter_map(move |(&(off, len), &bp)| {
-            let s = off.max(ds);
-            let e = (off + len).min(de);
-            (e > s).then(|| {
-                let b0 = (bp + (s - off)) as usize;
-                (s, b0..b0 + (e - s) as usize)
-            })
-        })
-}
-
-fn buffer_positions(regions: &[Region]) -> Vec<u64> {
-    let mut pos = Vec::with_capacity(regions.len());
-    let mut acc = 0;
-    for (_, l) in regions {
-        pos.push(acc);
-        acc += l;
-    }
-    pos
-}
-
 impl<'c, 'w> MpiFile<'c, 'w> {
     /// Allreduce the global `[lo, hi)` span of everyone's access lists
     /// (two u64 values — the cheap part of ROMIO's offset exchange).
@@ -208,7 +174,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
     /// `cb_write` hint off (ROMIO's `romio_cb_write disable`) this
     /// degrades to independent per-rank writes — no collectives at all.
     pub fn write_all_view(&self, buf: &[u8]) {
-        if !self.hints().cb_write {
+        if !self.hints.cb_write {
             return self.write_view(buf);
         }
         let regions = self.view_regions();
@@ -263,62 +229,38 @@ impl<'c, 'w> MpiFile<'c, 'w> {
                 }
                 let mut covered: Vec<Region> =
                     pieces.iter().map(|(o, d)| (*o, d.len() as u64)).collect();
-                crate::datatype::normalize(&mut covered);
+                normalize(&mut covered);
                 let mut spans: Vec<Region> =
                     pieces.iter().map(|(o, d)| (*o, d.len() as u64)).collect();
                 spans.sort_unstable();
                 let overlap = spans.windows(2).any(|w| w[0].0 + w[0].1 > w[1].0);
-                let fs = Arc::clone(&self.fs);
-                let fid = self.fid;
                 let cb = self.hints.cb_buffer_size.max(1);
-                let policy = self.retry;
                 if !overlap {
                     // Disjoint pieces tile each covered span exactly, so
                     // holes inside the domain are never touched and the
                     // last memcpy before the disk disappears.
                     pieces.sort_by_key(|&(o, _)| o);
-                    self.comm.io(move |t, net| {
-                        let mut fs = fs.lock();
-                        let mut cur = t;
+                    self.requests("two-phase write", |rq| {
                         let mut pi = 0usize;
-                        for (off, len) in &covered {
-                            let mut o = *off;
-                            let end = off + len;
-                            while o < end {
-                                let n = cb.min(end - o);
-                                while pi < pieces.len()
-                                    && pieces[pi].0 + pieces[pi].1.len() as u64 <= o
-                                {
-                                    pi += 1;
-                                }
-                                let mut parts: Vec<&[u8]> = Vec::new();
-                                let mut j = pi;
-                                while j < pieces.len() && pieces[j].0 < o + n {
-                                    let (po, pd) = &pieces[j];
+                        for (o, n) in cb_windows(&covered, cb) {
+                            pi +=
+                                pieces[pi..].partition_point(|(po, pd)| po + pd.len() as u64 <= o);
+                            let parts: Vec<&[u8]> = pieces[pi..]
+                                .iter()
+                                .take_while(|(po, _)| *po < o + n)
+                                .map(|(po, pd)| {
                                     let s = o.max(*po);
                                     let e = (o + n).min(po + pd.len() as u64);
-                                    parts.push(&pd[(s - po) as usize..(e - po) as usize]);
-                                    j += 1;
-                                }
-                                debug_assert_eq!(
-                                    parts.iter().map(|p| p.len() as u64).sum::<u64>(),
-                                    n,
-                                    "gather parts must tile the window"
-                                );
-                                let mut op = IoOp::WriteGather {
-                                    off: o,
-                                    parts: &parts,
-                                };
-                                let c =
-                                    submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                                        .unwrap_or_else(|e| {
-                                            panic!("two-phase write: unrecoverable I/O fault: {e}")
-                                        });
-                                cur = c.done;
-                                o += n;
-                            }
+                                    &pd[(s - po) as usize..(e - po) as usize]
+                                })
+                                .collect();
+                            debug_assert_eq!(
+                                parts.iter().map(|p| p.len() as u64).sum::<u64>(),
+                                n,
+                                "gather parts must tile the window"
+                            );
+                            rq.write_gather(o, &parts);
                         }
-                        (cur, ())
                     });
                 } else {
                     // Overlapping pieces (concurrent-writer views, which
@@ -331,29 +273,12 @@ impl<'c, 'w> MpiFile<'c, 'w> {
                         dom[p..p + data.len()].copy_from_slice(data);
                     }
                     let mem_bw = self.comm.mem_bw();
-                    self.comm.io(move |t, net| {
-                        let mut fs = fs.lock();
-                        let mut cur = t + SimDur::transfer(dom.len() as u64, mem_bw); // assemble
-                        for (off, len) in &covered {
-                            let mut o = *off;
-                            let end = off + len;
-                            while o < end {
-                                let n = cb.min(end - o);
-                                let s = (o - ds) as usize;
-                                let mut op = IoOp::Write {
-                                    off: o,
-                                    data: &dom[s..s + n as usize],
-                                };
-                                let c =
-                                    submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                                        .unwrap_or_else(|e| {
-                                            panic!("two-phase write: unrecoverable I/O fault: {e}")
-                                        });
-                                cur = c.done;
-                                o += n;
-                            }
+                    self.requests("two-phase write", |rq| {
+                        rq.charge(SimDur::transfer(dom.len() as u64, mem_bw)); // assemble
+                        for (o, n) in cb_windows(&covered, cb) {
+                            let s = (o - ds) as usize;
+                            rq.write(o, &dom[s..s + n as usize]);
                         }
-                        (cur, ())
                     });
                 }
             }
@@ -364,7 +289,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
     /// With the `cb_read` hint off this degrades to independent per-rank
     /// reads (sieved per `ds_read`).
     pub fn read_all_view(&self) -> Vec<u8> {
-        if !self.hints().cb_read {
+        if !self.hints.cb_read {
             return self.read_view();
         }
         let regions = self.view_regions();
@@ -422,32 +347,12 @@ impl<'c, 'w> MpiFile<'c, 'w> {
                     .iter()
                     .flat_map(|(_, regs)| regs.iter().copied())
                     .collect();
-                crate::datatype::normalize(&mut wanted);
-                let fs = Arc::clone(&self.fs);
-                let fid = self.fid;
+                normalize(&mut wanted);
                 let cb = self.hints.cb_buffer_size.max(1);
-                let policy = self.retry;
-                chunks = self.comm.io(move |t, net| {
-                    let mut fs = fs.lock();
-                    let mut cur = t;
-                    let mut chunks: Vec<(u64, Bytes)> = Vec::new();
-                    for (off, len) in &wanted {
-                        let mut o = *off;
-                        let end = off + len;
-                        while o < end {
-                            let n = cb.min(end - o);
-                            let mut op = IoOp::Read { off: o, len: n };
-                            let c = submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                                .unwrap_or_else(|e| {
-                                    panic!("two-phase read: unrecoverable I/O fault: {e}")
-                                });
-                            cur = c.done;
-                            let data = c.data.expect("read completion carries data");
-                            chunks.push((o, Bytes::from_vec(data)));
-                            o += n;
-                        }
-                    }
-                    (cur, chunks)
+                chunks = self.requests("two-phase read", |rq| {
+                    cb_windows(&wanted, cb)
+                        .map(|(o, n)| (o, Bytes::from_vec(rq.read(o, n))))
+                        .collect()
                 });
             }
         }

@@ -7,6 +7,8 @@
 //! coalesced list of contiguous file runs that the I/O layer (independent,
 //! sieved or two-phase collective) operates on.
 
+use std::ops::Range;
+
 /// A (byte offset, byte length) contiguous run, relative to the datatype
 /// origin.
 pub type Region = (u64, u64);
@@ -355,6 +357,96 @@ pub fn normalize(regions: &mut Vec<Region>) {
         }
     }
     regions.truncate(w);
+}
+
+/// Position of each region's first byte in a buffer that packs the
+/// regions back to back.
+pub(crate) fn buffer_positions(regions: &[Region]) -> Vec<u64> {
+    let mut pos = Vec::with_capacity(regions.len());
+    let mut acc = 0;
+    for (_, l) in regions {
+        pos.push(acc);
+        acc += l;
+    }
+    pos
+}
+
+/// Intersect `regions` (with running buffer positions) against `[ds, de)`;
+/// yields (file offset, buffer range) pairs.
+pub(crate) fn intersect<'r>(
+    regions: &'r [Region],
+    buf_pos: &'r [u64],
+    ds: u64,
+    de: u64,
+) -> impl Iterator<Item = (u64, Range<usize>)> + 'r {
+    regions
+        .iter()
+        .zip(buf_pos)
+        .filter_map(move |(&(off, len), &bp)| {
+            let s = off.max(ds);
+            let e = (off + len).min(de);
+            (e > s).then(|| {
+                let b0 = (bp + (s - off)) as usize;
+                (s, b0..b0 + (e - s) as usize)
+            })
+        })
+}
+
+/// The collective-buffering walk: each covered span cut into requests
+/// of at most `cb` bytes, as `(offset, len)`.
+pub(crate) fn cb_windows(covered: &[Region], cb: u64) -> impl Iterator<Item = Region> + '_ {
+    covered.iter().flat_map(move |&(off, len)| {
+        let end = off + len;
+        (off..end)
+            .step_by(cb as usize)
+            .map(move |o| (o, cb.min(end - o)))
+    })
+}
+
+/// The data-sieving walk over ascending `regions`: windows of at most
+/// `sieve` bytes from the first run to the end of the last. A window
+/// that no run intersects is skipped by jumping to the next run. Yields
+/// each window as `(offset, len)` with the index of the first run not
+/// wholly before it.
+pub(crate) fn sieve_windows(
+    regions: &[Region],
+    sieve: u64,
+) -> impl Iterator<Item = (Region, usize)> + '_ {
+    let span_end = regions.iter().map(|(o, l)| o + l).max().unwrap_or(0);
+    let mut win = regions.first().map_or(0, |r| r.0);
+    let mut ri = 0usize;
+    std::iter::from_fn(move || {
+        while win < span_end {
+            let wlen = sieve.min(span_end - win);
+            while ri < regions.len() && regions[ri].0 + regions[ri].1 <= win {
+                ri += 1;
+            }
+            if ri >= regions.len() {
+                return None;
+            }
+            if regions[ri].0 >= win + wlen {
+                win = regions[ri].0;
+                continue;
+            }
+            let w = (win, wlen);
+            win += wlen;
+            return Some((w, ri));
+        }
+        None
+    })
+}
+
+/// The runs of ascending `regions` from index `ri` that intersect
+/// window `(win, wlen)`: yields (offset in the window, buffer range).
+pub(crate) fn window_runs<'r>(
+    regions: &'r [Region],
+    buf_pos: &'r [u64],
+    (win, wlen): Region,
+    ri: usize,
+) -> impl Iterator<Item = (usize, Range<usize>)> + 'r {
+    let end = win + wlen;
+    let n = ri + regions[ri..].partition_point(|r| r.0 < end);
+    intersect(&regions[ri..n], &buf_pos[ri..n], win, end).map(move |(s, b)| ((s - win) as usize, b))
 }
 
 #[cfg(test)]

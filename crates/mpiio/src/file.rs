@@ -1,9 +1,9 @@
 //! File handles, hints, independent I/O and data sieving (the ROMIO
 //! optimizations of Thakur/Gropp/Lusk 1999 that the paper builds on).
 
-use crate::datatype::{Datatype, Region};
-use crate::retry::submit_retrying;
-use amrio_disk::{FaultPlan, FileId, FsConfig, IoOp, IoResult, Pfs, RetryPolicy};
+use crate::datatype::{buffer_positions, sieve_windows, window_runs, Datatype, Region};
+use crate::retry::Requests;
+use amrio_disk::{FaultPlan, FileId, FsConfig, Pfs, RetryPolicy};
 use amrio_mpi::Comm;
 use amrio_simt::sync::Mutex;
 use amrio_simt::SimDur;
@@ -13,6 +13,11 @@ use std::sync::Arc;
 /// CPU cost charged per noncontiguous region processed (offset-list
 /// handling in the I/O library).
 pub(crate) const PER_REGION_CPU: SimDur = SimDur(120);
+
+/// Time charged for installing an application stripe (50 µs, one
+/// metadata-ish request), at create under an advisory or through
+/// [`MpiFile::set_app_striping`].
+const STRIPING_COST: SimDur = SimDur(50_000);
 
 /// ROMIO-style tuning hints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,11 +91,7 @@ pub struct MpiIo {
 
 impl MpiIo {
     pub fn new(cfg: FsConfig) -> MpiIo {
-        MpiIo {
-            fs: Arc::new(Mutex::new(Pfs::new(cfg))),
-            retry: RetryPolicy::default(),
-            advisory: Advisory::default(),
-        }
+        MpiIo::from_fs(Arc::new(Mutex::new(Pfs::new(cfg))))
     }
 
     pub fn from_fs(fs: Arc<Mutex<Pfs>>) -> MpiIo {
@@ -112,19 +113,6 @@ impl MpiIo {
         self.advisory
     }
 
-    fn default_hints(&self) -> Hints {
-        self.advisory.hints.unwrap_or_default()
-    }
-
-    /// Arm a freshly opened handle with the advisory's write-behind
-    /// staging buffer (hints are installed at construction).
-    fn arm<'c, 'w>(&self, file: MpiFile<'c, 'w>) -> MpiFile<'c, 'w> {
-        if let Some(cap) = self.advisory.write_behind {
-            file.enable_write_behind(cap);
-        }
-        file
-    }
-
     /// Attach a fault-injection plan to the underlying file system.
     /// Call before any file is opened; requests then consult the plan
     /// and recover per the retry policy.
@@ -136,10 +124,6 @@ impl MpiIo {
     /// call.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Shared handle to the underlying file system (inspection, reuse by
@@ -159,99 +143,55 @@ impl MpiIo {
     /// file and everyone else attaches after a barrier (like
     /// `MPI_File_open` with `MPI_MODE_CREATE`).
     pub fn open<'c, 'w>(&self, comm: &'c Comm<'w>, path: &str, mode: Mode) -> MpiFile<'c, 'w> {
-        let fs = Arc::clone(&self.fs);
-        let stripe = self.advisory.app_stripe;
-        let fid = match mode {
+        match mode {
             Mode::Create => {
-                let mut fid = 0;
-                if comm.rank() == 0 {
-                    let fs2 = Arc::clone(&fs);
-                    fid = comm.io(move |t, net| {
-                        let mut fs = fs2.lock();
-                        let (fid, done) = fs.create(0, net, path, t);
-                        let done = match stripe {
-                            // Advised flexible striping: one metadata-ish
-                            // request, same pricing as `set_app_striping`.
-                            Some(s) => {
-                                fs.set_file_striping(fid, s);
-                                done + SimDur::from_micros(50)
-                            }
-                            None => done,
-                        };
-                        (done, fid)
-                    });
-                }
+                let created = (comm.rank() == 0).then(|| self.open_single(comm, path, mode));
                 comm.barrier();
-                if comm.rank() != 0 {
-                    let fs2 = Arc::clone(&fs);
-                    let me = comm.rank();
-                    fid = comm.io(move |t, net| {
-                        let mut fs = fs2.lock();
-                        let (fid, done) = fs.open(me, net, path, t);
-                        (done, fid)
-                    });
-                }
-                fid
+                created.unwrap_or_else(|| self.open_single(comm, path, Mode::Open))
             }
-            Mode::Open => {
-                let fs2 = Arc::clone(&fs);
-                let me = comm.rank();
-                comm.io(move |t, net| {
-                    let mut fs = fs2.lock();
-                    let (fid, done) = fs.open(me, net, path, t);
-                    (done, fid)
-                })
-            }
-        };
-        self.arm(MpiFile {
-            comm,
-            fs,
-            fid,
-            hints: self.default_hints(),
-            retry: self.retry,
-            view_disp: 0,
-            view_type: None,
-            write_behind: RefCell::new(None),
-        })
+            Mode::Open => self.open_single(comm, path, mode),
+        }
     }
 
     /// Open independently from a single rank (no collective semantics) —
     /// what a sequential library (HDF4) running on processor 0 does.
+    /// The handle takes the advisory's hints and write-behind capacity;
+    /// a created file also takes its application stripe.
     pub fn open_single<'c, 'w>(
         &self,
         comm: &'c Comm<'w>,
         path: &str,
         mode: Mode,
     ) -> MpiFile<'c, 'w> {
-        let fs = Arc::clone(&self.fs);
-        let fs2 = Arc::clone(&fs);
         let me = comm.rank();
-        let stripe = self.advisory.app_stripe;
-        let fid = comm.io(move |t, net| {
-            let mut fs = fs2.lock();
+        let fid = comm.io(|t, net| {
+            let mut fs = self.fs.lock();
             let (fid, done) = match mode {
                 Mode::Create => fs.create(me, net, path, t),
                 Mode::Open => fs.open(me, net, path, t),
             };
-            let done = match (mode, stripe) {
+            match (mode, self.advisory.app_stripe) {
                 (Mode::Create, Some(s)) => {
                     fs.set_file_striping(fid, s);
-                    done + SimDur::from_micros(50)
+                    (done + STRIPING_COST, fid)
                 }
-                _ => done,
-            };
-            (done, fid)
+                _ => (done, fid),
+            }
         });
-        self.arm(MpiFile {
+        let file = MpiFile {
             comm,
-            fs,
+            fs: Arc::clone(&self.fs),
             fid,
-            hints: self.default_hints(),
+            hints: self.advisory.hints.unwrap_or_default(),
             retry: self.retry,
             view_disp: 0,
             view_type: None,
             write_behind: RefCell::new(None),
-        })
+        };
+        if let Some(cap) = self.advisory.write_behind {
+            file.enable_write_behind(cap);
+        }
+        file
     }
 }
 
@@ -289,42 +229,30 @@ impl<'c, 'w> MpiFile<'c, 'w> {
         self.hints = hints;
     }
 
-    pub fn hints(&self) -> Hints {
-        self.hints
-    }
-
-    /// Override the retry/backoff/failover policy for this handle.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Submit one raw file system request through the retry/failover
-    /// layer. This is the fallible face of the handle: the convenience
-    /// wrappers ([`MpiFile::write_at`] and friends) call the same path
-    /// and panic when recovery is exhausted, while `submit` surfaces the
-    /// typed [`amrio_disk::IoError`] to callers that want to handle it.
-    /// Returns the read-back bytes for [`IoOp::Read`], `None` otherwise.
-    pub fn submit(&self, op: &mut IoOp<'_, '_>) -> IoResult<Option<Vec<u8>>> {
-        self.flush_write_behind();
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
-            match submit_retrying(&mut fs, net, me, fid, op, t, policy) {
-                Ok(c) => (c.done, Ok(c.data)),
-                Err(e) => (e.at(), Err(e)),
-            }
+    /// Issue a sequence of file system requests named `what` in one
+    /// ordered I/O section: the one path from this handle to the file
+    /// system. `f` submits through the [`Requests`] context, which
+    /// retries, fails over, and panics with `"<what>: unrecoverable I/O
+    /// fault"` once recovery is exhausted.
+    pub(crate) fn requests<R>(
+        &self,
+        what: &'static str,
+        f: impl FnOnce(&mut Requests<'_>) -> R,
+    ) -> R {
+        self.comm.io(|t, net| {
+            let mut fs = self.fs.lock();
+            let mut rq = Requests {
+                fs: &mut fs,
+                net,
+                client: self.comm.rank(),
+                fid: self.fid,
+                policy: self.retry,
+                what,
+                clock: t,
+            };
+            let r = f(&mut rq);
+            (rq.clock, r)
         })
-    }
-
-    pub fn file_id(&self) -> FileId {
-        self.fid
     }
 
     /// Stripe unit of the underlying file system (for alignment decisions
@@ -337,12 +265,9 @@ impl<'c, 'w> MpiFile<'c, 'w> {
     /// flexible-striping interface the paper's conclusions ask parallel
     /// file systems to provide. Charges one metadata-ish request.
     pub fn set_app_striping(&self, stripe: u64) {
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        self.comm.io(move |t, _net| {
-            let mut fs = fs.lock();
-            fs.set_file_striping(fid, stripe);
-            (t + SimDur::from_micros(50), ())
+        self.requests("set striping", |rq| {
+            rq.fs.set_file_striping(rq.fid, stripe);
+            rq.charge(STRIPING_COST);
         });
     }
 
@@ -351,11 +276,6 @@ impl<'c, 'w> MpiFile<'c, 'w> {
     pub fn set_view(&mut self, disp: u64, filetype: Datatype) {
         self.view_disp = disp;
         self.view_type = Some(filetype);
-    }
-
-    pub fn clear_view(&mut self) {
-        self.view_disp = 0;
-        self.view_type = None;
     }
 
     /// Absolute file regions selected by the current view.
@@ -415,17 +335,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
     }
 
     fn write_through(&self, off: u64, data: &[u8]) {
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
-            let mut op = IoOp::Write { off, data };
-            let c = submit_retrying(&mut fs, net, me, fid, &mut op, t, policy)
-                .unwrap_or_else(|e| panic!("independent write: unrecoverable I/O fault: {e}"));
-            (c.done, ())
-        });
+        self.requests("independent write", |rq| rq.write(off, data));
     }
 
     /// Independent contiguous write at an explicit offset (blocking, or
@@ -481,17 +391,7 @@ impl<'c, 'w> MpiFile<'c, 'w> {
         if parts.iter().all(|p| p.is_empty()) {
             return;
         }
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
-            let mut op = IoOp::WriteGather { off, parts };
-            let c = submit_retrying(&mut fs, net, me, fid, &mut op, t, policy)
-                .unwrap_or_else(|e| panic!("gathered write: unrecoverable I/O fault: {e}"));
-            (c.done, ())
-        });
+        self.requests("gathered write", |rq| rq.write_gather(off, parts));
     }
 
     /// Vectored contiguous read: fills `parts` back-to-back from `off`,
@@ -502,34 +402,14 @@ impl<'c, 'w> MpiFile<'c, 'w> {
         if parts.iter().all(|p| p.is_empty()) {
             return;
         }
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
-            let mut op = IoOp::ReadScatter { off, parts };
-            let c = submit_retrying(&mut fs, net, me, fid, &mut op, t, policy)
-                .unwrap_or_else(|e| panic!("scattered read: unrecoverable I/O fault: {e}"));
-            (c.done, ())
-        });
+        self.requests("scattered read", |rq| rq.read_scatter(off, parts));
     }
 
     /// Independent contiguous read at an explicit offset (blocking).
     /// Flushes staged writes first so reads observe them.
     pub fn read_at(&self, off: u64, len: u64) -> Vec<u8> {
         self.flush_write_behind();
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
-            let mut op = IoOp::Read { off, len };
-            let c = submit_retrying(&mut fs, net, me, fid, &mut op, t, policy)
-                .unwrap_or_else(|e| panic!("independent read: unrecoverable I/O fault: {e}"));
-            (c.done, c.data.expect("read completion carries data"))
-        })
+        self.requests("independent read", |rq| rq.read(off, len))
     }
 
     /// Independent write through the view. `buf` supplies exactly the
@@ -546,31 +426,16 @@ impl<'c, 'w> MpiFile<'c, 'w> {
             }
             return;
         }
+        let pos = buffer_positions(&regions);
         if self.hints.ds_write {
-            self.sieved_write(&regions, buf);
+            self.sieved_write(&regions, &pos, buf);
         } else {
             // One blocking request per run, sliced from the caller's
             // buffer without staging.
-            let fs = Arc::clone(&self.fs);
-            let fid = self.fid;
-            let me = self.comm.rank();
-            let policy = self.retry;
-            let regions2 = regions.clone();
-            self.comm.io(move |t, net| {
-                let mut fs = fs.lock();
-                let mut cur = t;
-                let mut pos = 0usize;
-                for (off, len) in regions2 {
-                    let mut op = IoOp::Write {
-                        off,
-                        data: &buf[pos..pos + len as usize],
-                    };
-                    let c = submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                        .unwrap_or_else(|e| panic!("view write: unrecoverable I/O fault: {e}"));
-                    cur = c.done;
-                    pos += len as usize;
+            self.requests("view write", |rq| {
+                for (&(off, len), &p) in regions.iter().zip(&pos) {
+                    rq.write(off, &buf[p as usize..(p + len) as usize]);
                 }
-                (cur, ())
             });
         }
     }
@@ -587,171 +452,59 @@ impl<'c, 'w> MpiFile<'c, 'w> {
             };
         }
         if self.hints.ds_read {
-            self.sieved_read(&regions, total)
-        } else {
-            let fs = Arc::clone(&self.fs);
-            let fid = self.fid;
-            let me = self.comm.rank();
-            let policy = self.retry;
-            let regions2 = regions.clone();
-            self.comm.io(move |t, net| {
-                let mut fs = fs.lock();
-                let mut cur = t;
-                let mut out = Vec::with_capacity(total as usize);
-                for (off, len) in regions2 {
-                    let mut op = IoOp::Read { off, len };
-                    let c = submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                        .unwrap_or_else(|e| panic!("view read: unrecoverable I/O fault: {e}"));
-                    cur = c.done;
-                    let data = c.data.expect("read completion carries data");
-                    amrio_simt::count_copy(data.len());
-                    out.extend_from_slice(&data);
-                }
-                (cur, out)
-            })
+            return self.sieved_read(&regions, total);
         }
+        self.requests("view read", |rq| {
+            let mut out = Vec::with_capacity(total as usize);
+            for &(off, len) in &regions {
+                let data = rq.read(off, len);
+                amrio_simt::count_copy(data.len());
+                out.extend_from_slice(&data);
+            }
+            out
+        })
     }
 
     /// Data sieving read: fetch the hole-spanning extent in large sieve
     /// buffers, then extract the requested runs in memory.
     fn sieved_read(&self, regions: &[Region], total: u64) -> Vec<u8> {
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
+        let pos = buffer_positions(regions);
         let sieve = self.hints.sieve_buffer_size.max(1);
         let mem_bw = self.comm.mem_bw();
-        let regions = regions.to_vec();
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
+        let cpu = SimDur(PER_REGION_CPU.0 * (regions.len().min(64)) as u64 / 8);
+        self.requests("sieved read", |rq| {
             let mut out = vec![0u8; total as usize];
-            let span_start = regions.first().map(|r| r.0).unwrap_or(0);
-            let span_end = regions.iter().map(|(o, l)| o + l).max().unwrap_or(0);
-            let mut cur = t;
-            let mut win = span_start;
-            let mut ri = 0usize; // first region not fully before the window
-            let mut out_pos: Vec<u64> = Vec::with_capacity(regions.len());
-            let mut acc = 0;
-            for (_, l) in &regions {
-                out_pos.push(acc);
-                acc += l;
-            }
-            while win < span_end {
-                let wlen = sieve.min(span_end - win);
-                // Skip holes: jump to the next region if none intersects.
-                while ri < regions.len() && regions[ri].0 + regions[ri].1 <= win {
-                    ri += 1;
-                }
-                if ri >= regions.len() {
-                    break;
-                }
-                if regions[ri].0 >= win + wlen {
-                    win = regions[ri].0;
-                    continue;
-                }
-                let mut op = IoOp::Read {
-                    off: win,
-                    len: wlen,
-                };
-                let c = submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                    .unwrap_or_else(|e| panic!("sieved read: unrecoverable I/O fault: {e}"));
-                cur = c.done;
-                let data = c.data.expect("read completion carries data");
+            for (win, ri) in sieve_windows(regions, sieve) {
+                let data = rq.read(win.0, win.1);
                 // Copy intersecting pieces out; charge memcpy.
-                let mut copied = 0u64;
-                for (i, (off, len)) in regions.iter().enumerate().skip(ri) {
-                    if *off >= win + wlen {
-                        break;
-                    }
-                    let s = (*off).max(win);
-                    let e = (off + len).min(win + wlen);
-                    if e > s {
-                        let dst = (out_pos[i] + (s - off)) as usize;
-                        let src = (s - win) as usize;
-                        out[dst..dst + (e - s) as usize]
-                            .copy_from_slice(&data[src..src + (e - s) as usize]);
-                        copied += e - s;
-                    }
+                let mut copied = 0;
+                for (w, b) in window_runs(regions, &pos, win, ri) {
+                    copied += b.len();
+                    out[b.clone()].copy_from_slice(&data[w..w + b.len()]);
                 }
-                amrio_simt::count_copy(copied as usize);
-                cur += SimDur::transfer(copied, mem_bw)
-                    + SimDur(PER_REGION_CPU.0 * (regions.len().min(64)) as u64 / 8);
-                win += wlen;
+                amrio_simt::count_copy(copied);
+                rq.charge(SimDur::transfer(copied as u64, mem_bw) + cpu);
             }
-            (cur, out)
+            out
         })
     }
 
     /// Data sieving write: read-modify-write each sieve window.
-    fn sieved_write(&self, regions: &[Region], buf: &[u8]) {
-        let fs = Arc::clone(&self.fs);
-        let fid = self.fid;
-        let me = self.comm.rank();
-        let policy = self.retry;
+    fn sieved_write(&self, regions: &[Region], pos: &[u64], buf: &[u8]) {
         let sieve = self.hints.sieve_buffer_size.max(1);
         let mem_bw = self.comm.mem_bw();
-        let regions = regions.to_vec();
-        self.comm.io(move |t, net| {
-            let mut fs = fs.lock();
-            let span_start = regions.first().map(|r| r.0).unwrap_or(0);
-            let span_end = regions.iter().map(|(o, l)| o + l).max().unwrap_or(0);
-            let mut in_pos: Vec<u64> = Vec::with_capacity(regions.len());
-            let mut acc = 0;
-            for (_, l) in &regions {
-                in_pos.push(acc);
-                acc += l;
+        self.requests("sieved write", |rq| {
+            for (win, ri) in sieve_windows(regions, sieve) {
+                let mut data = rq.read(win.0, win.1);
+                let mut copied = 0;
+                for (w, b) in window_runs(regions, pos, win, ri) {
+                    copied += b.len();
+                    data[w..w + b.len()].copy_from_slice(&buf[b]);
+                }
+                amrio_simt::count_copy(copied);
+                rq.charge(SimDur::transfer(copied as u64, mem_bw));
+                rq.write(win.0, &data);
             }
-            let mut cur = t;
-            let mut win = span_start;
-            let mut ri = 0usize;
-            while win < span_end {
-                let wlen = sieve.min(span_end - win);
-                while ri < regions.len() && regions[ri].0 + regions[ri].1 <= win {
-                    ri += 1;
-                }
-                if ri >= regions.len() {
-                    break;
-                }
-                if regions[ri].0 >= win + wlen {
-                    win = regions[ri].0;
-                    continue;
-                }
-                // Read-modify-write the window.
-                let mut op = IoOp::Read {
-                    off: win,
-                    len: wlen,
-                };
-                let c = submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                    .unwrap_or_else(|e| panic!("sieved write: unrecoverable I/O fault: {e}"));
-                cur = c.done;
-                let mut data = c.data.expect("read completion carries data");
-                let mut copied = 0u64;
-                for (i, (off, len)) in regions.iter().enumerate().skip(ri) {
-                    if *off >= win + wlen {
-                        break;
-                    }
-                    let s = (*off).max(win);
-                    let e = (off + len).min(win + wlen);
-                    if e > s {
-                        let src = (in_pos[i] + (s - off)) as usize;
-                        let dst = (s - win) as usize;
-                        data[dst..dst + (e - s) as usize]
-                            .copy_from_slice(&buf[src..src + (e - s) as usize]);
-                        copied += e - s;
-                    }
-                }
-                amrio_simt::count_copy(copied as usize);
-                cur += SimDur::transfer(copied, mem_bw);
-                let mut op = IoOp::Write {
-                    off: win,
-                    data: &data,
-                };
-                let c = submit_retrying(&mut fs, net, me, fid, &mut op, cur, policy)
-                    .unwrap_or_else(|e| panic!("sieved write: unrecoverable I/O fault: {e}"));
-                cur = c.done;
-                win += wlen;
-            }
-            (cur, ())
         });
     }
 }

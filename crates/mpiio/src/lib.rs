@@ -23,9 +23,7 @@ pub use file::{Advisory, Hints, Mode, MpiFile, MpiIo};
 
 // Fault vocabulary of the fallible request path, re-exported so
 // applications can configure injection and recovery from here.
-pub use amrio_disk::{
-    window_secs, FaultPlan, IoError, IoOp, IoResult, ResilienceReport, RetryPolicy, Window,
-};
+pub use amrio_disk::{window_secs, FaultPlan, IoError, ResilienceReport, RetryPolicy, Window};
 
 #[cfg(test)]
 mod tests {
