@@ -163,10 +163,9 @@ pub struct Dataset(usize);
 pub struct H5File<'c, 'w> {
     file: MpiFile<'c, 'w>,
     comm: &'c Comm<'w>,
-    model: OverheadModel,
-    datasets: Vec<DatasetMeta>,
-    attrs: Vec<AttrMeta>,
-    eof: u64,
+    /// Overhead model, bump allocator and catalog replica: the same
+    /// state the static planner replays without a file.
+    layout: LayoutOracle,
 }
 
 fn encode_catalog(datasets: &[DatasetMeta], attrs: &[AttrMeta]) -> Vec<u8> {
@@ -278,13 +277,12 @@ pub struct DsExtent {
     pub data_len: u64,
 }
 
-/// A pure replica of the [`H5File`] bump allocator. Dataset creation is
-/// collective and deterministic, so at runtime every rank already holds
-/// an identical catalog replica; this oracle lets the static planner
-/// hold the same replica without a file, a communicator, or a clock.
-/// Replay `create_dataset` / `write_attr` / `close` in the exact order
-/// the application issues them and the returned addresses are
-/// byte-identical to the runtime's.
+/// The [`H5File`] bump allocator and catalog replica. Dataset creation
+/// is collective and deterministic, so at runtime every rank holds an
+/// identical replica inside its [`H5File`]; the static planner holds the
+/// same replica without a file, a communicator, or a clock. Replay
+/// `create_dataset` / `write_attr` / `close` in the exact order the
+/// application issues them and the returned addresses are the runtime's.
 #[derive(Clone, Debug)]
 pub struct LayoutOracle {
     model: OverheadModel,
@@ -307,6 +305,25 @@ impl LayoutOracle {
         }
     }
 
+    /// The replica of a file whose catalog was decoded at open: later
+    /// allocations continue after the last dataset or attribute.
+    fn from_catalog(model: OverheadModel, stripe: u64, catalog: &[u8]) -> LayoutOracle {
+        let (datasets, attrs) = decode_catalog(catalog);
+        let eof = datasets
+            .iter()
+            .map(|d| d.data_addr + d.data_len)
+            .chain(attrs.iter().map(|a| a.addr + a.len))
+            .max()
+            .unwrap_or(SUPERBLOCK);
+        LayoutOracle {
+            model,
+            stripe,
+            eof,
+            datasets,
+            attrs,
+        }
+    }
+
     fn alloc(&mut self, len: u64, align_to_stripe: bool) -> u64 {
         let addr = if align_to_stripe {
             let s = self.stripe.max(1);
@@ -318,7 +335,7 @@ impl LayoutOracle {
         addr
     }
 
-    /// Mirror of [`H5File::create_dataset`] (contiguous layout).
+    /// Allocation of [`H5File::create_dataset`] (contiguous layout).
     pub fn create_dataset(&mut self, name: &str, numtype: NumType, dims: &[u64]) -> DsExtent {
         let header_len = 64 + name.len() as u64 + dims.len() as u64 * 8;
         let header_addr = self.alloc(header_len, false);
@@ -341,7 +358,7 @@ impl LayoutOracle {
         }
     }
 
-    /// Mirror of [`H5File::write_attr`]: the attribute's file address.
+    /// Allocation of [`H5File::write_attr`]: the attribute's file address.
     pub fn write_attr(&mut self, name: &str, len: u64) -> u64 {
         let addr = self.alloc(len, false);
         self.attrs.push(AttrMeta {
@@ -352,11 +369,17 @@ impl LayoutOracle {
         addr
     }
 
-    /// Mirror of [`H5File::close`]: `(catalog_addr, catalog_len)`.
+    /// Allocation of [`H5File::close`]: `(catalog_addr, catalog_len)`.
     pub fn close(&mut self) -> (u64, u64) {
+        let (addr, catalog) = self.close_catalog();
+        (addr, catalog.len() as u64)
+    }
+
+    /// Encode the catalog and allocate its space: `(address, bytes)`.
+    fn close_catalog(&mut self) -> (u64, Vec<u8>) {
         let catalog = encode_catalog(&self.datasets, &self.attrs);
         let addr = self.alloc(catalog.len() as u64, false);
-        (addr, catalog.len() as u64)
+        (addr, catalog)
     }
 
     /// Current end-of-file of the simulated allocation stream.
@@ -381,14 +404,8 @@ impl<'c, 'w> H5File<'c, 'w> {
             file.write_at(0, &sb);
         }
         comm.barrier();
-        H5File {
-            file,
-            comm,
-            model,
-            datasets: Vec::new(),
-            attrs: Vec::new(),
-            eof: SUPERBLOCK,
-        }
+        let layout = LayoutOracle::new(model, file.fs_stripe());
+        H5File { file, comm, layout }
     }
 
     /// Collectively open an existing file: rank 0 reads the superblock and
@@ -411,49 +428,26 @@ impl<'c, 'w> H5File<'c, 'w> {
             Vec::new()
         };
         let catalog = comm.bcast(0, catalog);
-        let (datasets, attrs) = decode_catalog(&catalog);
-        let eof = datasets
-            .iter()
-            .map(|d| d.data_addr + d.data_len)
-            .chain(attrs.iter().map(|a| a.addr + a.len))
-            .max()
-            .unwrap_or(SUPERBLOCK);
-        H5File {
-            file,
-            comm,
-            model,
-            datasets,
-            attrs,
-            eof,
-        }
+        let layout = LayoutOracle::from_catalog(model, file.fs_stripe(), &catalog);
+        H5File { file, comm, layout }
     }
 
     pub fn set_hints(&mut self, hints: Hints) {
         self.file.set_hints(hints);
     }
 
-    fn alloc(&mut self, len: u64, align_to_stripe: bool) -> u64 {
-        let addr = if align_to_stripe {
-            let s = self.file.fs_stripe().max(1);
-            self.eof.div_ceil(s) * s
-        } else {
-            self.eof
-        };
-        self.eof = addr + len;
-        addr
-    }
-
     /// Collective dataset creation: allocates the object header and raw
     /// data space; rank 0 writes the header; everyone synchronizes per the
     /// overhead model.
     pub fn create_dataset(&mut self, name: &str, numtype: NumType, dims: &[u64]) -> Dataset {
-        if self.model.create_sync {
+        if self.layout.model.create_sync {
             self.comm.barrier();
         }
-        let header_len = 64 + name.len() as u64 + dims.len() as u64 * 8;
-        let header_addr = self.alloc(header_len, false);
-        let data_len = dims.iter().product::<u64>() * numtype.size();
-        let data_addr = self.alloc(data_len, !self.model.metadata_inline);
+        let DsExtent {
+            header_addr,
+            header_len,
+            ..
+        } = self.layout.create_dataset(name, numtype, dims);
         if self.comm.rank() == 0 {
             // The object header write: small, lands immediately before the
             // raw data, breaking the stream's alignment/sequentiality.
@@ -469,16 +463,7 @@ impl<'c, 'w> H5File<'c, 'w> {
         }
         // Metadata propagation to all ranks.
         self.comm.bcast(0, vec![0u8; 64]);
-        self.datasets.push(DatasetMeta {
-            name: name.to_string(),
-            numtype,
-            dims: dims.to_vec(),
-            data_addr,
-            data_len,
-            chunk_dims: Vec::new(),
-            chunk_addrs: Vec::new(),
-        });
-        Dataset(self.datasets.len() - 1)
+        Dataset(self.layout.datasets.len() - 1)
     }
 
     /// Collectively create a dataset with **chunked** storage: the data
@@ -495,11 +480,11 @@ impl<'c, 'w> H5File<'c, 'w> {
     ) -> Dataset {
         assert_eq!(dims.len(), chunk_dims.len(), "chunk rank mismatch");
         assert!(chunk_dims.iter().all(|c| *c > 0), "zero chunk dim");
-        if self.model.create_sync {
+        if self.layout.model.create_sync {
             self.comm.barrier();
         }
         let header_len = 64 + name.len() as u64 + dims.len() as u64 * 16;
-        let header_addr = self.alloc(header_len, false);
+        let header_addr = self.layout.alloc(header_len, false);
         if self.comm.rank() == 0 {
             self.file
                 .write_at(header_addr, &vec![0u8; header_len as usize]);
@@ -511,51 +496,52 @@ impl<'c, 'w> H5File<'c, 'w> {
             .zip(chunk_dims)
             .map(|(d, c)| d.div_ceil(*c))
             .product();
-        let mut chunk_addrs = Vec::with_capacity(nchunks as usize);
-        for _ in 0..nchunks {
-            chunk_addrs.push(self.alloc(chunk_bytes, !self.model.metadata_inline));
-        }
+        let aligned = !self.layout.model.metadata_inline;
+        let chunk_addrs: Vec<u64> = (0..nchunks)
+            .map(|_| self.layout.alloc(chunk_bytes, aligned))
+            .collect();
         // The chunk B-tree index: rank 0 writes one small node per 16
         // chunks (fan-out) — more metadata interleaved with data.
         if self.comm.rank() == 0 {
             let nodes = nchunks.div_ceil(16).max(1);
             for _ in 0..nodes {
-                let a = self.alloc(256, false);
+                let a = self.layout.alloc(256, false);
                 self.file.write_at(a, &[0u8; 256]);
             }
         }
         self.comm.bcast(0, vec![0u8; 64]);
-        self.datasets.push(DatasetMeta {
+        self.layout.datasets.push(DatasetMeta {
             name: name.to_string(),
             numtype,
             dims: dims.to_vec(),
-            data_addr: chunk_addrs.first().copied().unwrap_or(self.eof),
+            data_addr: chunk_addrs.first().copied().unwrap_or(self.layout.eof),
             data_len: nchunks * chunk_bytes,
             chunk_dims: chunk_dims.to_vec(),
             chunk_addrs,
         });
-        Dataset(self.datasets.len() - 1)
+        Dataset(self.layout.datasets.len() - 1)
     }
 
     /// Collective dataset close: another synchronization plus a small
     /// rank-0 header update.
     pub fn close_dataset(&mut self, ds: Dataset) {
-        if self.model.create_sync {
+        if self.layout.model.create_sync {
             self.comm.barrier();
         }
         if self.comm.rank() == 0 {
-            let m = &self.datasets[ds.0];
+            let m = &self.layout.datasets[ds.0];
             let addr = m.data_addr.saturating_sub(64);
             self.file.write_at(addr, &[0u8; 16]);
         }
-        if self.model.create_sync {
+        if self.layout.model.create_sync {
             self.comm.barrier();
         }
     }
 
     pub fn open_dataset(&self, name: &str) -> Dataset {
         Dataset(
-            self.datasets
+            self.layout
+                .datasets
                 .iter()
                 .position(|d| d.name == name)
                 .unwrap_or_else(|| panic!("no dataset {name:?}")),
@@ -563,27 +549,31 @@ impl<'c, 'w> H5File<'c, 'w> {
     }
 
     pub fn dataset_dims(&self, ds: Dataset) -> &[u64] {
-        &self.datasets[ds.0].dims
+        &self.layout.datasets[ds.0].dims
     }
 
     pub fn dataset_type(&self, ds: Dataset) -> NumType {
-        self.datasets[ds.0].numtype
+        self.layout.datasets[ds.0].numtype
     }
 
     pub fn dataset_names(&self) -> Vec<&str> {
-        self.datasets.iter().map(|d| d.name.as_str()).collect()
+        self.layout
+            .datasets
+            .iter()
+            .map(|d| d.name.as_str())
+            .collect()
     }
 
     /// File extent `(data_addr, data_len)` of a dataset's raw data.
     pub fn dataset_extent(&self, ds: Dataset) -> (u64, u64) {
-        let m = &self.datasets[ds.0];
+        let m = &self.layout.datasets[ds.0];
         (m.data_addr, m.data_len)
     }
 
     /// Charge the recursive hyperslab traversal + pack copy.
     fn charge_hyperslab(&self, slab: &Hyperslab, bytes: u64) {
         let runs = slab.runs();
-        let cpu = SimDur(self.model.hyperslab_ns_per_run * runs)
+        let cpu = SimDur(self.layout.model.hyperslab_ns_per_run * runs)
             + SimDur::transfer(bytes, self.comm.mem_bw());
         self.comm.ctx().advance(cpu);
     }
@@ -592,7 +582,7 @@ impl<'c, 'w> H5File<'c, 'w> {
     /// offset, length) per contiguous run, plus the number of chunks
     /// touched (for the B-tree lookup charge).
     fn chunked_pieces(&self, ds: Dataset, slab: &Hyperslab) -> (Vec<(u64, usize, usize)>, u64) {
-        let m = &self.datasets[ds.0];
+        let m = &self.layout.datasets[ds.0];
         let esz = m.numtype.size();
         let rank = m.dims.len();
         let grid = m.chunk_grid();
@@ -663,7 +653,7 @@ impl<'c, 'w> H5File<'c, 'w> {
     }
 
     fn slab_type(&self, ds: Dataset, slab: &Hyperslab) -> (Datatype, u64) {
-        let m = &self.datasets[ds.0];
+        let m = &self.layout.datasets[ds.0];
         assert_eq!(slab.start.len(), m.dims.len(), "selection rank mismatch");
         let t = Datatype::Subarray {
             dims: m.dims.clone(),
@@ -676,14 +666,14 @@ impl<'c, 'w> H5File<'c, 'w> {
 
     /// Write the selected hyperslab from `buf` (packed row-major order).
     pub fn write_hyperslab(&mut self, ds: Dataset, slab: &Hyperslab, xfer: Xfer, buf: &[u8]) {
-        let m = &self.datasets[ds.0];
+        let m = &self.layout.datasets[ds.0];
         assert_eq!(
             buf.len() as u64,
             slab.elements() * m.numtype.size(),
             "buffer/selection mismatch"
         );
         self.charge_hyperslab(slab, buf.len() as u64);
-        if self.datasets[ds.0].is_chunked() {
+        if self.layout.datasets[ds.0].is_chunked() {
             let (pieces, chunks) = self.chunked_pieces(ds, slab);
             self.charge_chunk_index(chunks);
             // Reorder the packed selection into ascending file order.
@@ -712,8 +702,11 @@ impl<'c, 'w> H5File<'c, 'w> {
 
     /// Read the selected hyperslab into a packed buffer.
     pub fn read_hyperslab(&mut self, ds: Dataset, slab: &Hyperslab, xfer: Xfer) -> Vec<u8> {
-        self.charge_hyperslab(slab, slab.elements() * self.datasets[ds.0].numtype.size());
-        if self.datasets[ds.0].is_chunked() {
+        self.charge_hyperslab(
+            slab,
+            slab.elements() * self.layout.datasets[ds.0].numtype.size(),
+        );
+        if self.layout.datasets[ds.0].is_chunked() {
             let (pieces, chunks) = self.chunked_pieces(ds, slab);
             self.charge_chunk_index(chunks);
             let blocks: Vec<(u64, u64)> = pieces.iter().map(|(f, _, l)| (*f, *l as u64)).collect();
@@ -743,8 +736,8 @@ impl<'c, 'w> H5File<'c, 'w> {
     /// Collectively write an attribute. Under the 2002 model only rank 0
     /// may create/write attributes, so everyone else waits.
     pub fn write_attr(&mut self, name: &str, data: &[u8]) {
-        let addr = self.alloc(data.len() as u64, false);
-        if self.model.rank0_attributes {
+        let addr = self.layout.write_attr(name, data.len() as u64);
+        if self.layout.model.rank0_attributes {
             if self.comm.rank() == 0 {
                 self.file.write_at(addr, data);
             }
@@ -754,15 +747,11 @@ impl<'c, 'w> H5File<'c, 'w> {
             // nobody waits for it.
             self.file.write_at(addr, data);
         }
-        self.attrs.push(AttrMeta {
-            name: name.to_string(),
-            addr,
-            len: data.len() as u64,
-        });
     }
 
     pub fn read_attr(&self, name: &str) -> Vec<u8> {
         let a = self
+            .layout
             .attrs
             .iter()
             .find(|a| a.name == name)
@@ -773,18 +762,17 @@ impl<'c, 'w> H5File<'c, 'w> {
     /// Collective close: rank 0 serializes the catalog and updates the
     /// superblock.
     pub fn close(mut self) {
-        if self.model.create_sync {
+        if self.layout.model.create_sync {
             self.comm.barrier();
         }
-        let catalog = encode_catalog(&self.datasets, &self.attrs);
-        let cat_addr = self.alloc(catalog.len() as u64, false);
+        let (cat_addr, catalog) = self.layout.close_catalog();
         if self.comm.rank() == 0 {
             self.file.write_at(cat_addr, &catalog);
             let mut sb = Vec::with_capacity(SUPERBLOCK as usize);
             sb.extend_from_slice(MAGIC);
             sb.extend_from_slice(&cat_addr.to_le_bytes());
             sb.extend_from_slice(&(catalog.len() as u64).to_le_bytes());
-            sb.extend_from_slice(&self.eof.to_le_bytes());
+            sb.extend_from_slice(&self.layout.eof.to_le_bytes());
             sb.resize(SUPERBLOCK as usize, 0);
             self.file.write_at(0, &sb);
         }
@@ -935,7 +923,7 @@ mod tests {
             let r = w.run(move |c| {
                 let mut f = H5File::create(&io, c, "a.h5", model);
                 let ds = f.create_dataset("v", NumType::F32, &[8]);
-                let addr = f.datasets[ds.0].data_addr;
+                let addr = f.layout.datasets[ds.0].data_addr;
                 f.close();
                 addr
             });
@@ -1240,7 +1228,7 @@ mod chunked_tests {
                 f.write_attr("units", &[7u8; 32]);
                 let a = f.create_dataset("alpha", NumType::F32, &[8, 8, 8]);
                 let b = f.create_dataset("beta", NumType::F64, &[100]);
-                let out = (f.dataset_extent(a), f.dataset_extent(b), f.eof);
+                let out = (f.dataset_extent(a), f.dataset_extent(b), f.layout.eof);
                 f.close();
                 out
             });
