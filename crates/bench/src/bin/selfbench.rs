@@ -8,11 +8,15 @@
 //! handoffs, index updates, lock acquisitions). Each cell runs `REPS`
 //! times and reports the median wall-clock (plus the min) so a single
 //! noisy rep can't fake a regression. `scripts/bench.sh` runs the full
-//! matrix and `scripts/ci.sh` runs `--smoke` (fails on a >25%
-//! wall-clock regression against the committed `BENCH_selfbench.json`
-//! baseline) and `--scale-smoke` (one 256-rank checkpoint cell against
-//! a generous absolute budget, guarding the indexed executor's
-//! high-rank-count scaling).
+//! matrix and `scripts/ci.sh` runs `--smoke` and `--scale-smoke`.
+//! `--smoke` exits non-zero when a smoke cell's work counters
+//! ([`EXACT_FIELDS`]: ordered ops, copied bytes, image digest, bytes
+//! moved, virtual write/read seconds) differ in any way from the cell
+//! committed in `BENCH_selfbench.json`, naming the first field that
+//! differs; `ci.sh` then also fails a >25% wall-clock regression against
+//! the committed total. `--scale-smoke` holds one 256-rank checkpoint
+//! cell to a generous absolute budget, guarding the indexed executor's
+//! high-rank-count scaling.
 //!
 //! Matrix: three backends (hdf4-serial, mpiio-optimized, hdf5-parallel)
 //! × small/large problem × 4/16 ranks × strict-checker on/off, all on
@@ -47,6 +51,23 @@ const REPS: usize = 3;
 /// return to O(nranks) scans or broadcast wakeup storms), not to police
 /// noise.
 const SCALE_SMOKE_BUDGET_MS: f64 = 20_000.0;
+
+/// Fields of a smoke cell that must equal the committed baseline
+/// exactly. They do not depend on host load, so a difference is a
+/// change to the simulated work itself, made on purpose and
+/// re-baselined with it.
+const EXACT_FIELDS: [&str; 7] = [
+    "ordered_ops",
+    "copied_bytes",
+    "image_digest",
+    "bytes_written",
+    "bytes_read",
+    "write_s",
+    "read_s",
+];
+
+/// The committed baseline the smoke counters are checked against.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_selfbench.json");
 
 struct CellResult {
     backend: &'static str,
@@ -184,6 +205,41 @@ fn cell_json(c: &CellResult) -> Json {
             ]),
         ),
     ])
+}
+
+/// Compare each smoke cell's [`EXACT_FIELDS`] with the committed cell of
+/// the same backend, problem, rank count and checker mode; the error
+/// names the first field that differs.
+fn check_smoke_counters(cells: &[CellResult]) -> Result<(), String> {
+    let text = std::fs::read_to_string(BASELINE).map_err(|e| format!("{BASELINE}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{BASELINE}: not valid JSON: {e}"))?;
+    let committed = doc
+        .get("cells")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{BASELINE}: no \"cells\" array"))?;
+    let key = |j: &Json| ["backend", "problem", "nranks", "checker"].map(|k| j.get(k).cloned());
+    for c in cells.iter().filter(|c| c.smoke) {
+        let now = cell_json(c);
+        let name = format!(
+            "{} {} x{} checker={}",
+            c.backend, c.problem, c.nranks, c.checker
+        );
+        let base = committed
+            .iter()
+            .find(|b| key(b) == key(&now))
+            .ok_or_else(|| format!("{name}: no committed cell in {BASELINE}"))?;
+        for field in EXACT_FIELDS {
+            let [want, got] = [base, &now].map(|j| j.get(field).map(Json::encode));
+            if want != got {
+                return Err(format!(
+                    "{name}: {field} is {} but the committed baseline has {}",
+                    got.as_deref().unwrap_or("missing"),
+                    want.as_deref().unwrap_or("missing")
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn eprint_cell(c: &CellResult) {
@@ -547,4 +603,14 @@ fn main() {
     let out = Json::Obj(doc).pretty();
     std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("(wrote {out_path}; smoke_total_wall_ms = {smoke_total:.1})");
+
+    if smoke_only {
+        match check_smoke_counters(&cells) {
+            Ok(()) => eprintln!("smoke work counters match the committed baseline"),
+            Err(e) => {
+                eprintln!("selfbench smoke work counters changed: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }

@@ -41,7 +41,7 @@ echo "== crash-point sweep (atomic commit + restart-from-latest; committed CSV r
 cargo run --release -q -p amrio-bench --bin crash
 git diff --exit-code -- results/crash.csv
 
-echo "== selfbench smoke (wall-clock regression gate)"
+echo "== selfbench smoke (exact work counters of each smoke cell vs BENCH_selfbench.json, then the wall-clock regression gate)"
 cargo run --release -q -p amrio-bench --bin selfbench -- --smoke --out /tmp/selfbench_smoke.json
 baseline=$(grep -m1 '"smoke_total_wall_ms"' BENCH_selfbench.json | grep -o '[0-9.]*')
 current=$(grep -m1 '"smoke_total_wall_ms"' /tmp/selfbench_smoke.json | grep -o '[0-9.]*')
