@@ -426,18 +426,17 @@ impl<'c, 'w> MpiFile<'c, 'w> {
             }
             return;
         }
-        let pos = buffer_positions(&regions);
         if self.hints.ds_write {
-            self.sieved_write(&regions, &pos, buf);
-        } else {
-            // One blocking request per run, sliced from the caller's
-            // buffer without staging.
-            self.requests("view write", |rq| {
-                for (&(off, len), &p) in regions.iter().zip(&pos) {
-                    rq.write(off, &buf[p as usize..(p + len) as usize]);
-                }
-            });
+            return self.sieved_write(&regions, buf);
         }
+        // One blocking request per run, sliced from the caller's buffer
+        // without staging.
+        let pos = buffer_positions(&regions);
+        self.requests("view write", |rq| {
+            for (&(off, len), &p) in regions.iter().zip(&pos) {
+                rq.write(off, &buf[p as usize..(p + len) as usize]);
+            }
+        });
     }
 
     /// Independent read through the view; returns the selected bytes in
@@ -490,14 +489,15 @@ impl<'c, 'w> MpiFile<'c, 'w> {
     }
 
     /// Data sieving write: read-modify-write each sieve window.
-    fn sieved_write(&self, regions: &[Region], pos: &[u64], buf: &[u8]) {
+    fn sieved_write(&self, regions: &[Region], buf: &[u8]) {
+        let pos = buffer_positions(regions);
         let sieve = self.hints.sieve_buffer_size.max(1);
         let mem_bw = self.comm.mem_bw();
         self.requests("sieved write", |rq| {
             for (win, ri) in sieve_windows(regions, sieve) {
                 let mut data = rq.read(win.0, win.1);
                 let mut copied = 0;
-                for (w, b) in window_runs(regions, pos, win, ri) {
+                for (w, b) in window_runs(regions, &pos, win, ri) {
                     copied += b.len();
                     data[w..w + b.len()].copy_from_slice(&buf[b]);
                 }
