@@ -14,8 +14,10 @@
 //! moved, virtual write/read seconds) differ in any way from the cell
 //! committed in `BENCH_selfbench.json`, naming the first field that
 //! differs; `ci.sh` then also fails a >25% wall-clock regression against
-//! the committed total. `--scale-smoke` holds one 256-rank checkpoint
-//! cell to a generous absolute budget, guarding the indexed executor's
+//! the committed total. `--scale-smoke` runs one 256-rank checkpoint
+//! cell, exits non-zero when its [`EXACT_FIELDS`] differ from the
+//! committed 256-rank `rank_sweep` row, and holds its wall time to a
+//! generous absolute budget, guarding the indexed executor's
 //! high-rank-count scaling.
 //!
 //! Matrix: three backends (hdf4-serial, mpiio-optimized, hdf5-parallel)
@@ -207,18 +209,22 @@ fn cell_json(c: &CellResult) -> Json {
     ])
 }
 
-/// Compare each smoke cell's [`EXACT_FIELDS`] with the committed cell of
-/// the same backend, problem, rank count and checker mode; the error
-/// names the first field that differs.
-fn check_smoke_counters(cells: &[CellResult]) -> Result<(), String> {
+/// Compare each cell's [`EXACT_FIELDS`] with the cell of the same
+/// backend, problem, rank count and checker mode in the committed
+/// `section` (`"cells"` or `"rank_sweep"`); the error names the first
+/// field that differs.
+fn check_counters<'a>(
+    section: &str,
+    cells: impl IntoIterator<Item = &'a CellResult>,
+) -> Result<(), String> {
     let text = std::fs::read_to_string(BASELINE).map_err(|e| format!("{BASELINE}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{BASELINE}: not valid JSON: {e}"))?;
     let committed = doc
-        .get("cells")
+        .get(section)
         .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{BASELINE}: no \"cells\" array"))?;
+        .ok_or_else(|| format!("{BASELINE}: no \"{section}\" array"))?;
     let key = |j: &Json| ["backend", "problem", "nranks", "checker"].map(|k| j.get(k).cloned());
-    for c in cells.iter().filter(|c| c.smoke) {
+    for c in cells {
         let now = cell_json(c);
         let name = format!(
             "{} {} x{} checker={}",
@@ -227,7 +233,7 @@ fn check_smoke_counters(cells: &[CellResult]) -> Result<(), String> {
         let base = committed
             .iter()
             .find(|b| key(b) == key(&now))
-            .ok_or_else(|| format!("{name}: no committed cell in {BASELINE}"))?;
+            .ok_or_else(|| format!("{name}: no committed {section} cell in {BASELINE}"))?;
         for field in EXACT_FIELDS {
             let [want, got] = [base, &now].map(|j| j.get(field).map(Json::encode));
             if want != got {
@@ -437,13 +443,21 @@ fn crash_summary() -> CrashSummary {
     }
 }
 
-/// `--scale-smoke`: one 256-rank checkpoint cell against an absolute
-/// budget. A scheduler regression that turns grant lookup back into an
-/// O(nranks) scan (or wakeups back into broadcasts) blows the budget
-/// immediately at this rank count; honest noise does not.
+/// `--scale-smoke`: one 256-rank checkpoint cell. Its [`EXACT_FIELDS`]
+/// must equal the committed 256-rank `rank_sweep` row, which catches
+/// added simulated work (an extra collective or ordered section) at
+/// the rank count where it costs most. Its wall time is also held to an
+/// absolute budget: a scheduler regression that turns grant lookup back
+/// into an O(nranks) scan (or wakeups back into broadcasts) blows the
+/// budget immediately at this rank count; honest noise does not.
 fn scale_smoke() {
     let c = run_cell("mpiio-optimized", "small", 16, 256, false, false);
     eprint_cell(&c);
+    if let Err(e) = check_counters("rank_sweep", [&c]) {
+        eprintln!("selfbench scale-smoke work counters changed: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("scale-smoke work counters match the committed 256-rank rank_sweep row");
     eprintln!(
         "scale-smoke: 256-rank cell median {:.1} ms (budget {:.0} ms)",
         c.wall_ms, SCALE_SMOKE_BUDGET_MS
@@ -605,7 +619,7 @@ fn main() {
     eprintln!("(wrote {out_path}; smoke_total_wall_ms = {smoke_total:.1})");
 
     if smoke_only {
-        match check_smoke_counters(&cells) {
+        match check_counters("cells", cells.iter().filter(|c| c.smoke)) {
             Ok(()) => eprintln!("smoke work counters match the committed baseline"),
             Err(e) => {
                 eprintln!("selfbench smoke work counters changed: {e}");

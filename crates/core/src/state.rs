@@ -78,10 +78,13 @@ pub fn ic_velocity(seed: u64, i: u64) -> [f32; 3] {
 }
 
 impl SimState {
-    /// Build the initial state: every rank generates exactly the particles
-    /// that fall in its `(Block, Block, Block)` slab of the root grid, then
-    /// derives its field data. Purely local (the generator is stateless),
-    /// so there is no setup communication to distort the timed phases.
+    /// Build the initial state, the way ENZO's `inits` produces the
+    /// initial grid once and distributes it: the particle positions are
+    /// generated once per world ([`Comm::replicated`]) and bucketed by
+    /// the `(Block, Block, Block)` slab that owns them; each rank then
+    /// takes its bucket, adds velocities and derives its field data.
+    /// There is no setup communication to distort the timed phases, and
+    /// each rank is charged its `1/P` share of the generation.
     pub fn init(comm: &Comm, cfg: SimConfig) -> SimState {
         let n = cfg.root_n();
         let decomp = BlockDecomp::new(CellBox::cube(n), comm.size());
@@ -91,12 +94,20 @@ impl SimState {
         let np = cfg.num_particles();
         // Mass normalization: mean deposited density == 1 per cell.
         let mass = (n * n * n) as f32 / np.max(1) as f32;
-        let mut ps = ParticleSet::new();
-        for i in 0..np {
-            let pos = ic_position(cfg.seed, i);
-            if decomp.owner_of_pos(pos, [n, n, n]) == comm.rank() {
-                ps.push(i as i64, pos, ic_velocity(cfg.seed, i), mass, [0.0, 0.0]);
+        let buckets = comm.replicated(|| {
+            #[cfg(test)]
+            IC_RUNS.set(IC_RUNS.get() + 1);
+            let mut buckets = vec![Vec::new(); comm.size()];
+            for i in 0..np {
+                let pos = ic_position(cfg.seed, i);
+                buckets[decomp.owner_of_pos(pos, [n, n, n])].push((i, pos));
             }
+            buckets
+        });
+        let mine = &buckets[comm.rank()];
+        let mut ps = ParticleSet::with_capacity(mine.len());
+        for &(i, pos) in mine {
+            ps.push(i as i64, pos, ic_velocity(cfg.seed, i), mass, [0.0, 0.0]);
         }
         my_top.particles = ps;
         solver::update_derived_fields(&mut my_top, [n, n, n]);
@@ -255,11 +266,80 @@ thread_local! {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Initial-condition generation passes run on this thread (see
+    /// `CLUSTER_RUNS` in `evolve`).
+    static IC_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::ProblemSize;
     use amrio_mpi::World;
     use amrio_net::NetConfig;
+
+    /// Oracle: the top slab as `init` built it when every rank walked
+    /// all `np` particles and kept those in its own slab.
+    fn per_rank_top(cfg: &SimConfig, nranks: usize, rank: usize) -> GridPatch {
+        let n = cfg.root_n();
+        let decomp = BlockDecomp::new(CellBox::cube(n), nranks);
+        let mut top = GridPatch::new(TOP_GRID, 0, decomp.slab(rank));
+        let np = cfg.num_particles();
+        let mass = (n * n * n) as f32 / np.max(1) as f32;
+        for i in 0..np {
+            let pos = ic_position(cfg.seed, i);
+            if decomp.owner_of_pos(pos, [n, n, n]) == rank {
+                let vel = ic_velocity(cfg.seed, i);
+                top.particles.push(i as i64, pos, vel, mass, [0.0, 0.0]);
+            }
+        }
+        solver::update_derived_fields(&mut top, [n, n, n]);
+        top
+    }
+
+    /// Every particle record (id, position, velocity and mass bits, in
+    /// order) followed by every field's bytes.
+    fn top_bytes(top: &GridPatch) -> Vec<u8> {
+        let mut out = Vec::new();
+        for i in 0..top.particles.len() {
+            crate::wire::push_particle(&mut out, &top.particles, i);
+        }
+        for f in &top.fields {
+            out.extend_from_slice(&f.to_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn init_matches_the_per_rank_oracle() {
+        for fraction in [1.0, 0.5, 0.0] {
+            for nranks in [1, 2, 3, 7, 16, 64] {
+                let mut cfg = SimConfig::new(ProblemSize::Custom(16), nranks);
+                cfg.particle_fraction = fraction;
+                let w = World::new(nranks, NetConfig::smp_cluster(nranks, 8));
+                let r = w.run(|c| top_bytes(&SimState::init(c, cfg.clone()).my_top));
+                for (rank, got) in r.results.iter().enumerate() {
+                    let want = top_bytes(&per_rank_top(&cfg, nranks, rank));
+                    assert!(
+                        *got == want,
+                        "rank {rank} of {nranks}, particle_fraction {fraction}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ic_generation_runs_once_per_world() {
+        let n = 16;
+        let w = World::new(n, NetConfig::smp_cluster(n, 4));
+        let r = w.run(|c| {
+            SimState::init(c, small_cfg(n));
+            IC_RUNS.get()
+        });
+        assert_eq!(r.results.iter().sum::<usize>(), 1);
+    }
 
     fn small_cfg(nranks: usize) -> SimConfig {
         let mut c = SimConfig::new(ProblemSize::Custom(16), nranks);

@@ -500,12 +500,12 @@ impl<'c, 'w> H5File<'c, 'w> {
         let chunk_addrs: Vec<u64> = (0..nchunks)
             .map(|_| self.layout.alloc(chunk_bytes, aligned))
             .collect();
-        // The chunk B-tree index: rank 0 writes one small node per 16
-        // chunks (fan-out) — more metadata interleaved with data.
-        if self.comm.rank() == 0 {
-            let nodes = nchunks.div_ceil(16).max(1);
-            for _ in 0..nodes {
-                let a = self.layout.alloc(256, false);
+        // The chunk B-tree index: one small node per 16 chunks (fan-out)
+        // — more metadata interleaved with data. Every rank allocates the
+        // nodes so the allocators stay in step; rank 0 writes them.
+        for _ in 0..nchunks.div_ceil(16).max(1) {
+            let a = self.layout.alloc(256, false);
+            if self.comm.rank() == 0 {
                 self.file.write_at(a, &[0u8; 256]);
             }
         }
@@ -931,6 +931,25 @@ mod tests {
         };
         assert_ne!(addr_with(true) % (64 * 1024), 0);
         assert_eq!(addr_with(false) % (64 * 1024), 0);
+    }
+
+    #[test]
+    fn ranks_agree_on_addresses_after_a_chunked_dataset() {
+        let w = World::new(2, NetConfig::ccnuma(2));
+        let io = MpiIo::new(fs());
+        let model = OverheadModel {
+            metadata_inline: true,
+            ..OverheadModel::default()
+        };
+        let r = w.run(|c| {
+            let mut f = H5File::create(&io, c, "k.h5", model);
+            f.create_dataset_chunked("c", NumType::F32, &[8, 8, 8], &[4, 4, 4]);
+            let ds = f.create_dataset("v", NumType::F32, &[8]);
+            let addr = f.layout.datasets[ds.0].data_addr;
+            f.close();
+            addr
+        });
+        assert_eq!(r.results[0], r.results[1], "ranks disagree on the address");
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //! further for results every rank would compute identically (the
 //! sample sort's splitters): the last arriver runs the function once
 //! inside the pattern and every rank gets a shared `Arc` of the result.
+//! [`Comm::replicated`] is its collective-free counterpart for values
+//! that need no input from other ranks (the initial particle set): the
+//! first rank to ask computes it, and no virtual time is charged.
 
 #![forbid(unsafe_code)]
 
@@ -34,10 +37,10 @@ use amrio_fault::FaultPlan;
 use amrio_net::{Net, NetConfig};
 use amrio_simt::sync::Mutex;
 use amrio_simt::{Bytes, Ctx, Rank, SimDur, SimReport, SimTime};
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Message tag (like MPI tags).
 pub type Tag = u32;
@@ -95,11 +98,23 @@ pub struct MpiStats {
     pub collectives: u64,
 }
 
+/// A value every rank computes identically, shared through
+/// [`Comm::replicated`]: the first rank to arrive fills `value`, and
+/// the slot is dropped once every rank has taken it.
+struct Replica {
+    type_id: TypeId,
+    type_name: &'static str,
+    value: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
+    taken: usize,
+}
+
 struct WorldShared {
     net: Mutex<Net>,
     mail: Mutex<MailState>,
     coll: Mutex<CollState>,
     stats: Mutex<MpiStats>,
+    /// Live [`Comm::replicated`] slots, by per-rank call index.
+    replicas: Mutex<HashMap<u64, Replica>>,
 }
 
 /// A simulated MPI world: the network plus messaging state. Create one,
@@ -129,6 +144,7 @@ impl World {
                 }),
                 coll: Mutex::new(CollState::default()),
                 stats: Mutex::new(MpiStats::default()),
+                replicas: Mutex::new(HashMap::new()),
             }),
             nranks,
             checker: None,
@@ -178,6 +194,7 @@ impl World {
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
+        self.shared.replicas.lock().clear();
         let go = || {
             let hook = self
                 .faults
@@ -189,6 +206,7 @@ impl World {
                     shared: Arc::clone(&self.shared),
                     nranks: self.nranks,
                     coll_seq: Cell::new(0),
+                    replica_seq: Cell::new(0),
                     checker: self.checker.clone(),
                 };
                 f(&comm)
@@ -230,6 +248,7 @@ pub struct Comm<'a> {
     shared: Arc<WorldShared>,
     nranks: usize,
     coll_seq: Cell<u64>,
+    replica_seq: Cell<u64>,
     checker: Option<Arc<Checker>>,
 }
 
@@ -263,6 +282,54 @@ impl<'a> Comm<'a> {
     /// schedule is aligned with the runtime checker's collective log.
     pub fn coll_epoch(&self) -> u64 {
         self.coll_seq.get()
+    }
+
+    /// A value every rank would compute identically, computed once per
+    /// world. Every rank's n-th call shares one slot: the first rank to
+    /// arrive runs `f`, the others block on the host until it is done,
+    /// and all of them get the same `Arc`.
+    ///
+    /// Unlike [`Comm::allgatherv_with`] this is not a collective: it
+    /// charges no virtual time and sends no message, so a rank's clock,
+    /// ordered sections and the checker's collective log are the same as
+    /// without the call. Charge the work with [`Comm::compute`] if the
+    /// model should see it. `f` must be a pure function of what every
+    /// rank passes in, and must not call into the `Comm`.
+    ///
+    /// Panics if ranks ask for different types at the same call index.
+    pub fn replicated<T>(&self, f: impl FnOnce() -> T) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+    {
+        let seq = self.replica_seq.get();
+        self.replica_seq.set(seq + 1);
+        let want = std::any::type_name::<T>();
+        let value = {
+            let mut slots = self.shared.replicas.lock();
+            let slot = slots.entry(seq).or_insert_with(|| Replica {
+                type_id: TypeId::of::<T>(),
+                type_name: want,
+                value: Arc::new(OnceLock::new()),
+                taken: 0,
+            });
+            assert!(
+                slot.type_id == TypeId::of::<T>(),
+                "replicated call {seq}: rank {} asks for {want}, another rank for {}",
+                self.rank(),
+                slot.type_name
+            );
+            Arc::clone(&slot.value)
+        };
+        let shared = Arc::clone(value.get_or_init(|| Arc::new(f()) as Arc<dyn Any + Send + Sync>));
+        let mut slots = self.shared.replicas.lock();
+        let slot = slots
+            .get_mut(&seq)
+            .expect("slot alive until every rank took it");
+        slot.taken += 1;
+        if slot.taken == self.nranks {
+            slots.remove(&seq);
+        }
+        shared.downcast().expect("slot type checked on entry")
     }
 
     /// Charge local computation time.
@@ -632,6 +699,87 @@ mod tests {
             }
         });
         assert!(r.results[0].as_secs_f64() > 0.08);
+    }
+}
+
+#[cfg(test)]
+mod replicated_tests {
+    use super::*;
+    use amrio_net::NetConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn runs_once_and_every_rank_shares_the_result() {
+        let calls = AtomicUsize::new(0);
+        let w = World::new(64, NetConfig::smp_cluster(64, 8));
+        let r = w.run(|c| {
+            c.replicated(|| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                (0..1000u64).collect::<Vec<_>>()
+            })
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(r.results[0].len(), 1000);
+        assert!(r.results.iter().all(|v| Arc::ptr_eq(v, &r.results[0])));
+        assert!(w.shared.replicas.lock().is_empty(), "slot left behind");
+    }
+
+    #[test]
+    fn charges_nothing_to_the_simulation() {
+        // The same program with and without the call: clocks, ordered
+        // sections, MPI counters and network messages all match.
+        let go = |with: bool| {
+            let w = World::new(8, NetConfig::smp_cluster(8, 4));
+            let r = w.run(|c| {
+                c.compute(SimDur::from_micros(3 * c.rank() as u64));
+                if with {
+                    c.replicated(|| vec![7u8; 4096]);
+                }
+                let peer = c.rank() ^ 1;
+                c.sendrecv(peer, &[c.rank() as u8; 64], peer, 3);
+                c.allgatherv(vec![c.rank() as u8; c.rank()]);
+                c.now()
+            });
+            let s = w.stats();
+            let counters = (s.sends, s.p2p_bytes, s.collectives, w.net_messages());
+            (r.results, r.ordered_ops, counters)
+        };
+        assert_eq!(go(true), go(false));
+    }
+
+    #[test]
+    fn successive_calls_match_in_call_order() {
+        let w = World::new(16, NetConfig::smp_cluster(16, 4));
+        let r = w.run(|c| {
+            let a = c.replicated(|| 1u64);
+            let b = c.replicated(|| 2u64);
+            (*a, *b)
+        });
+        assert!(r.results.iter().all(|x| *x == (1, 2)));
+        assert!(w.shared.replicas.lock().is_empty(), "slot left behind");
+    }
+
+    #[test]
+    fn type_mismatch_panics_naming_both_types() {
+        let w = World::new(4, NetConfig::ccnuma(4));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.run(|c| {
+                if c.rank() == 0 {
+                    c.replicated(|| 0u64);
+                } else {
+                    c.replicated(|| 0u32);
+                }
+            })
+        }))
+        .expect_err("mismatched types must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(msg.contains("replicated call 0"), "{msg}");
+        assert!(msg.contains("u64") && msg.contains("u32"), "{msg}");
+        // The next run starts with an empty slot table.
+        let r = w.run(|c| *c.replicated(|| 5u64));
+        assert_eq!(r.results, vec![5; 4]);
     }
 }
 

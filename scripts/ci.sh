@@ -53,7 +53,7 @@ awk -v b="$baseline" -v c="$current" 'BEGIN {
   }
 }'
 
-echo "== selfbench scale smoke (256-rank cell vs absolute executor-scaling budget)"
+echo "== selfbench scale smoke (exact work counters of the 256-rank cell vs its rank_sweep row in BENCH_selfbench.json, then the absolute executor-scaling budget)"
 cargo run --release -q -p amrio-bench --bin selfbench -- --scale-smoke
 
 echo "== loadgen smoke (serve cache: hot >= 20x cold rps, hot p99 budget, zero digest mismatches, coalescing proof)"
