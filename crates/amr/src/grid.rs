@@ -70,16 +70,6 @@ impl CellBox {
             hi: self.hi.map(|v| v * 2),
         }
     }
-
-    /// Map to normalized domain coordinates [0,1)³ given the level's full
-    /// resolution `n` per dimension.
-    pub fn frac_lo(&self, n: u64) -> [f64; 3] {
-        self.lo.map(|v| v as f64 / n as f64)
-    }
-
-    pub fn frac_hi(&self, n: u64) -> [f64; 3] {
-        self.hi.map(|v| v as f64 / n as f64)
-    }
 }
 
 /// One AMR grid patch: a box of cells at some refinement level plus its
@@ -115,10 +105,6 @@ impl GridPatch {
 
     pub fn field(&self, i: usize) -> &Array3 {
         &self.fields[i]
-    }
-
-    pub fn field_mut(&mut self, i: usize) -> &mut Array3 {
-        &mut self.fields[i]
     }
 
     pub fn field_by_name(&self, name: &str) -> &Array3 {

@@ -33,10 +33,7 @@
 
 use amrio_bench::{crash_sweep, default_cfg, EVOLVE_CYCLES};
 use amrio_check::CheckMode;
-use amrio_enzo::{
-    Experiment, Hdf4Serial, Hdf5Parallel, IoStrategy, MpiIoOptimized, Platform, ProblemSize,
-    RunReport,
-};
+use amrio_enzo::{Experiment, MpiIoOptimized, Platform, ProblemSize, RunReport, StrategyId};
 use amrio_plan::{plan, Backend, PlanInput};
 use amrio_serve::json::{self, Json};
 use amrio_serve::wire::hex_digest;
@@ -84,15 +81,6 @@ struct CellResult {
     report: RunReport,
 }
 
-fn strategy_for(name: &str) -> Box<dyn IoStrategy> {
-    match name {
-        "hdf4-serial" => Box::new(Hdf4Serial),
-        "mpiio-optimized" => Box::new(MpiIoOptimized),
-        "hdf5-parallel" => Box::new(Hdf5Parallel::default()),
-        other => panic!("unknown backend {other}"),
-    }
-}
-
 /// Median of a small sample (averages the middle pair for even n).
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
@@ -114,7 +102,7 @@ fn run_cell(
 ) -> CellResult {
     let platform = Platform::ibm_sp2(nranks);
     let cfg = default_cfg(ProblemSize::Custom(root_n), nranks);
-    let strategy = strategy_for(backend);
+    let strategy = StrategyId::parse(backend).expect("known backend").build();
     let mut walls = Vec::with_capacity(REPS);
     let mut last: Option<(u64, RunReport)> = None;
     for _ in 0..REPS {
@@ -357,7 +345,7 @@ fn verify_summary() -> VerifySummary {
     let mut analysis_s = 0.0f64;
     let t_sim = Instant::now();
     for name in ["hdf4-serial", "mpiio-optimized", "hdf5-parallel"] {
-        let strategy = strategy_for(name);
+        let strategy = StrategyId::parse(name).expect("known backend").build();
         let _ = Experiment::new(&platform, &cfg, &*strategy)
             .cycles(EVOLVE_CYCLES)
             .check(CheckMode::Strict)

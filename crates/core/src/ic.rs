@@ -10,16 +10,16 @@
 //! contiguously at a discoverable offset, so MPI-IO file views can
 //! address it directly.
 
-use crate::io::hdf4::read_particles_sds;
+use crate::io::hdf4::{read_particles_sds, write_patch_sds};
 use crate::io::restart::{from_root, read_block, Restart};
-use crate::io::slab_view;
+use crate::io::{array_name, slab_view, GRID_ARRAYS};
 use crate::problem::SimConfig;
 use crate::state::{ic_position, ic_velocity, SimState, TOP_GRID};
 use crate::wire;
 use amrio_amr::grid::GridMeta;
 use amrio_amr::solver;
 use amrio_amr::{CellBox, GridPatch, Hierarchy, ParticleSet};
-use amrio_amr::{BARYON_FIELDS, NUM_FIELDS, PARTICLE_ARRAYS};
+use amrio_amr::{BARYON_FIELDS, NUM_FIELDS};
 use amrio_hdf4::H4File;
 use amrio_mpi::Comm;
 use amrio_mpiio::{Mode, MpiIo};
@@ -64,22 +64,7 @@ pub fn write_initial_conditions(comm: &Comm, io: &MpiIo, cfg: &SimConfig) {
 
         let mut f = H4File::create(io, comm, ic_path());
         f.write_attr("hierarchy", &wire::encode_hierarchy(&h, 0.0, 0));
-        for (i, name) in BARYON_FIELDS.iter().enumerate() {
-            f.write_sds(
-                name,
-                amrio_mpiio::NumType::F32,
-                &[n, n, n],
-                &top.fields[i].to_bytes(),
-            );
-        }
-        for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-            f.write_sds(
-                name,
-                crate::io::particle_numtype(a),
-                &[np],
-                &top.particles.array_bytes(name),
-            );
-        }
+        write_patch_sds(&mut f, &h.grids[0], &top);
     }
     comm.barrier();
 }
@@ -116,11 +101,8 @@ pub fn new_simulation_read_parallel(comm: &Comm, io: &MpiIo, cfg: &SimConfig) ->
         let hmeta = f.read_attr("hierarchy");
         let mut out = (hmeta.len() as u64).to_le_bytes().to_vec();
         out.extend_from_slice(&hmeta);
-        let names = BARYON_FIELDS
-            .iter()
-            .chain(PARTICLE_ARRAYS.iter().map(|(n, _)| n));
-        for name in names {
-            let info = f.info(name).expect("dataset present");
+        for k in 0..GRID_ARRAYS {
+            let info = f.info(array_name(k)).expect("dataset present");
             out.extend_from_slice(&info.data_off.to_le_bytes());
         }
         out

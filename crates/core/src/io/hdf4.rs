@@ -9,11 +9,7 @@
 //! a round-robin manner.
 
 use super::*;
-use crate::state::TOP_GRID;
-use amrio_amr::{GridPatch, ParticleSet, BARYON_FIELDS, PARTICLE_ARRAYS};
 use amrio_hdf4::H4File;
-use amrio_mpiio::NumType;
-use amrio_simt::SimDur;
 
 /// The serial HDF4 baseline strategy.
 #[derive(Default)]
@@ -21,18 +17,14 @@ pub struct Hdf4Serial;
 
 const NS_PER_SORT_ITEM: u64 = 30;
 
-fn write_patch_sds(f: &mut H4File, patch: &GridPatch, sorted: &ParticleSet) {
-    let dims = patch.dims();
-    let d = [dims[0] as u64, dims[1] as u64, dims[2] as u64];
-    for (i, name) in BARYON_FIELDS.iter().enumerate() {
-        f.write_sds(name, NumType::F32, &d, &patch.fields[i].to_bytes());
-    }
-    for (i, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
+/// One SDS per array of grid `meta`, whose data `patch` holds.
+pub(crate) fn write_patch_sds(f: &mut H4File, meta: &GridMeta, patch: &GridPatch) {
+    for (k, bytes) in patch_arrays(patch).enumerate() {
         f.write_sds(
-            name,
-            particle_numtype(i),
-            &[sorted.len() as u64],
-            &sorted.array_bytes(name),
+            array_name(k),
+            array_numtype(k),
+            &array_dims(meta, k),
+            &bytes,
         );
     }
 }
@@ -88,17 +80,18 @@ impl IoStrategy for Hdf4Serial {
                 "hierarchy",
                 &wire::encode_hierarchy(&st.hierarchy, st.time, st.cycle),
             );
-            let mut top = GridPatch::new(TOP_GRID, 0, st.hierarchy.grids[0].bbox);
+            let meta = st.hierarchy.find(TOP_GRID).expect("top grid");
+            let mut top = GridPatch::new(TOP_GRID, 0, meta.bbox);
             top.fields = global_fields;
-            write_patch_sds(&mut f, &top, &top_particles);
+            top.particles = top_particles;
+            write_patch_sds(&mut f, meta, &top);
         }
 
         // --- Subgrids: every owner writes its own grid files in parallel.
         for g in &st.my_subgrids {
-            let mut sorted = g.particles.clone();
-            sorted.sort_by_id();
+            let meta = st.hierarchy.find(g.id).expect("subgrid meta");
             let mut f = H4File::create(io, comm, &subgrid_path(dump, g.id));
-            write_patch_sds(&mut f, g, &sorted);
+            write_patch_sds(&mut f, meta, g);
         }
         comm.barrier();
     }

@@ -7,9 +7,7 @@
 
 use super::*;
 use crate::sort::parallel_sort_by_id;
-use amrio_amr::{BARYON_FIELDS, PARTICLE_ARRAYS};
 use amrio_hdf5::{H5File, Hyperslab, OverheadModel, Xfer};
-use amrio_mpiio::NumType;
 
 /// The parallel HDF5 strategy. Carries the overhead model so ablation
 /// benches can toggle individual 2002 behaviours.
@@ -24,7 +22,18 @@ pub fn ds_field(gid: u64, name: &str) -> String {
     format!("g{gid:06}_{name}")
 }
 
-fn slab_of(b: &amrio_amr::CellBox, within: &amrio_amr::CellBox) -> Hyperslab {
+/// Every subgrid dataset of the shared file in creation order: the
+/// subgrids in hierarchy order, each one's arrays in file order. Dataset
+/// creation allocates file space, so this order fixes every address; the
+/// static planner's footprint replays it.
+pub fn subgrid_datasets(h: &Hierarchy) -> impl Iterator<Item = (&GridMeta, usize)> {
+    h.grids
+        .iter()
+        .filter(|g| g.id != TOP_GRID)
+        .flat_map(|g| (0..GRID_ARRAYS).map(move |k| (g, k)))
+}
+
+fn slab_of(b: &CellBox, within: &CellBox) -> Hyperslab {
     let start = [
         b.lo[0] - within.lo[0],
         b.lo[1] - within.lo[1],
@@ -39,7 +48,6 @@ impl IoStrategy for Hdf5Parallel {
     }
 
     fn write_checkpoint(&self, comm: &Comm, io: &MpiIo, st: &SimState, dump: u32) {
-        let n = st.cfg.root_n();
         let mut f = H5File::create(io, comm, &shared_path(dump, "h5"), self.model);
         f.write_attr(
             "hierarchy",
@@ -47,74 +55,51 @@ impl IoStrategy for Hdf5Parallel {
         );
 
         // --- Top-grid fields: collective hyperslab writes. ---
-        let top_box = st.hierarchy.find(TOP_GRID).unwrap().bbox;
-        for (i, name) in BARYON_FIELDS.iter().enumerate() {
-            let ds = f.create_dataset(&ds_field(TOP_GRID, name), NumType::F32, &[n, n, n]);
-            let slab = slab_of(&st.my_top.bbox, &top_box);
-            f.write_hyperslab(ds, &slab, Xfer::Collective, &st.my_top.fields[i].to_bytes());
-            f.write_attr(&format!("{}_units", ds_field(TOP_GRID, name)), &[0u8; 32]);
+        let top = st.hierarchy.find(TOP_GRID).expect("top grid");
+        for k in 0..NUM_FIELDS {
+            let name = ds_field(TOP_GRID, array_name(k));
+            let ds = f.create_dataset(&name, array_numtype(k), &array_dims(top, k));
+            let slab = slab_of(&st.my_top.bbox, &top.bbox);
+            f.write_hyperslab(ds, &slab, Xfer::Collective, &st.my_top.fields[k].to_bytes());
+            f.write_attr(&format!("{name}_units"), &[0u8; 32]);
             f.close_dataset(ds);
         }
 
         // --- Top-grid particles: sort, then 1-D block hyperslabs,
         //     independent transfers. ---
         let (chunk, counts) = parallel_sort_by_id(comm, st.my_top.particles.clone());
-        let np: u64 = counts.iter().sum();
         let my_start: u64 = counts[..comm.rank()].iter().sum();
-        for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let ds = f.create_dataset(&ds_field(TOP_GRID, name), particle_numtype(a), &[np]);
+        for k in NUM_FIELDS..GRID_ARRAYS {
+            let name = ds_field(TOP_GRID, array_name(k));
+            let ds = f.create_dataset(&name, array_numtype(k), &array_dims(top, k));
             if !chunk.is_empty() {
                 let slab = Hyperslab::new(&[my_start], &[chunk.len() as u64]);
-                f.write_hyperslab(ds, &slab, Xfer::Independent, &chunk.array_bytes(name));
+                f.write_hyperslab(
+                    ds,
+                    &slab,
+                    Xfer::Independent,
+                    &chunk.array_bytes(array_name(k)),
+                );
             }
             f.close_dataset(ds);
         }
 
         // --- Subgrids: dataset creation is collective (everyone walks the
         //     hierarchy in the same order); only the owner transfers data.
-        let metas: Vec<amrio_amr::GridMeta> = st
-            .hierarchy
-            .grids
-            .iter()
-            .filter(|g| g.id != TOP_GRID)
-            .cloned()
-            .collect();
-        for meta in &metas {
-            let dims = meta.bbox.size();
-            let local = st.my_subgrids.iter().find(|g| g.id == meta.id);
-            let sorted = local.map(|g| {
-                let mut s = g.particles.clone();
-                s.sort_by_id();
-                s
-            });
-            for (i, name) in BARYON_FIELDS.iter().enumerate() {
-                let ds = f.create_dataset(&ds_field(meta.id, name), NumType::F32, &dims);
-                if let Some(g) = local {
-                    f.write_hyperslab(
-                        ds,
-                        &Hyperslab::all(&dims),
-                        Xfer::Independent,
-                        &g.fields[i].to_bytes(),
-                    );
-                }
-                f.close_dataset(ds);
+        let mut payload = None;
+        for (meta, k) in subgrid_datasets(&st.hierarchy) {
+            if k == 0 {
+                let local = st.my_subgrids.iter().find(|g| g.id == meta.id);
+                payload = local.map(patch_arrays);
             }
-            for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-                let ds = f.create_dataset(
-                    &ds_field(meta.id, name),
-                    particle_numtype(a),
-                    &[meta.nparticles],
-                );
-                if let (Some(s), true) = (&sorted, meta.nparticles > 0) {
-                    f.write_hyperslab(
-                        ds,
-                        &Hyperslab::all(&[meta.nparticles]),
-                        Xfer::Independent,
-                        &s.array_bytes(name),
-                    );
+            let dims = array_dims(meta, k);
+            let ds = f.create_dataset(&ds_field(meta.id, array_name(k)), array_numtype(k), &dims);
+            if let Some(bytes) = payload.as_mut().and_then(Iterator::next) {
+                if array_len(meta, k) > 0 {
+                    f.write_hyperslab(ds, &Hyperslab::all(&dims), Xfer::Independent, &bytes);
                 }
-                f.close_dataset(ds);
             }
+            f.close_dataset(ds);
         }
         f.close();
     }
@@ -144,13 +129,10 @@ impl IoStrategy for Hdf5Parallel {
         // --- Subgrids: round-robin whole-dataset reads; a particle
         //     array of an empty subgrid is not read.
         let subgrids = r.subgrids(|meta| {
-            patch_from_arrays(meta, |k, _| {
+            patch_from_arrays(meta, |k, len| {
                 let ds = f.open_dataset(&ds_field(meta.id, array_name(k)));
-                if k < NUM_FIELDS {
-                    let all = Hyperslab::all(&meta.bbox.size());
-                    f.read_hyperslab(ds, &all, Xfer::Independent)
-                } else if meta.nparticles > 0 {
-                    let all = Hyperslab::all(&[meta.nparticles]);
+                if len > 0 {
+                    let all = Hyperslab::all(&array_dims(meta, k));
                     f.read_hyperslab(ds, &all, Xfer::Independent)
                 } else {
                     Vec::new()

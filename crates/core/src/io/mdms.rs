@@ -16,7 +16,6 @@
 
 use super::mpiio::{read_meta, read_subgrid_per_array, Layout};
 use super::*;
-use amrio_amr::{BARYON_FIELDS, PARTICLE_ARRAYS};
 use amrio_mdms::{AccessPattern, DatasetRecord, MdmsDb};
 use amrio_mpiio::{Hints, Mode};
 
@@ -35,29 +34,20 @@ pub struct MpiIoNaive;
 
 fn register_checkpoint(db: &mut MdmsDb, st: &SimState, dump: u32) {
     let layout = Layout::new(&st.hierarchy);
-    let n = st.cfg.root_n();
     let file = shared_path(dump, "cpio");
-    for (i, name) in BARYON_FIELDS.iter().enumerate() {
+    let top = st.hierarchy.find(TOP_GRID).expect("top grid");
+    for k in 0..GRID_ARRAYS {
         db.register(DatasetRecord {
-            name: format!("top/{name}"),
-            numtype: amrio_mpiio::NumType::F32,
-            dims: vec![n, n, n],
+            name: format!("top/{}", array_name(k)),
+            numtype: array_numtype(k),
+            dims: array_dims(top, k),
             file: file.clone(),
-            offset: layout.field_off(TOP_GRID, i),
-            pattern: AccessPattern::RegularBlock,
-            observed_requests: 0,
-            observed_bytes: 0,
-        });
-    }
-    let np = st.hierarchy.find(TOP_GRID).unwrap().nparticles;
-    for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-        db.register(DatasetRecord {
-            name: format!("top/{name}"),
-            numtype: particle_numtype(a),
-            dims: vec![np],
-            file: file.clone(),
-            offset: layout.particle_off(TOP_GRID, a),
-            pattern: AccessPattern::IrregularByKey,
+            offset: layout.array_off(TOP_GRID, k),
+            pattern: if k < NUM_FIELDS {
+                AccessPattern::RegularBlock
+            } else {
+                AccessPattern::IrregularByKey
+            },
             observed_requests: 0,
             observed_bytes: 0,
         });
@@ -107,7 +97,7 @@ impl IoStrategy for MdmsAdvised {
 
         // Fields: advised collective with a tuned aggregator count.
         let fields = r.top_fields(|i| {
-            let advice = advise(&format!("top/{}", BARYON_FIELDS[i]));
+            let advice = advise(&format!("top/{}", array_name(i)));
             let mut hints = Hints::default();
             advice.apply_to(&mut hints);
             f.set_hints(hints);
@@ -121,7 +111,7 @@ impl IoStrategy for MdmsAdvised {
 
         // Particles: advised independent block-wise reads.
         let particles = r.top_particles_blockwise(|a, bs, be| {
-            let advice = advise(&format!("top/{}", PARTICLE_ARRAYS[a].0));
+            let advice = advise(&format!("top/{}", array_name(NUM_FIELDS + a)));
             assert!(!advice.collective, "1-D block access stays independent");
             read_block(&f, layout.particle_off(TOP_GRID, a), a, bs, be)
         });

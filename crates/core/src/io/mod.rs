@@ -11,13 +11,15 @@ pub(crate) mod restart;
 use crate::problem::SimConfig;
 use crate::state::{SimState, TOP_GRID};
 use crate::wire;
-use amrio_amr::{Array3, BlockDecomp, CellBox, GridPatch, Hierarchy, ParticleSet, NUM_FIELDS};
+use amrio_amr::{
+    Array3, BlockDecomp, CellBox, GridMeta, GridPatch, Hierarchy, ParticleSet, BARYON_FIELDS,
+    NUM_FIELDS, PARTICLE_ARRAYS,
+};
 use amrio_mpi::Comm;
 use amrio_mpiio::{Datatype, MpiIo, NumType};
 use amrio_simt::{Bytes, SimDur};
-use restart::{
-    array_len, array_name, from_root, patch_from_arrays, read_block, Restart, GRID_ARRAYS,
-};
+use restart::{from_root, patch_from_arrays, read_block, Restart};
+use std::borrow::Cow;
 
 pub use hdf4::Hdf4Serial;
 pub use hdf5::Hdf5Parallel;
@@ -51,13 +53,61 @@ pub fn shared_path(dump: u32, ext: &str) -> String {
     format!("DD{dump:04}.{ext}")
 }
 
-/// Element type of each particle array (by index in `PARTICLE_ARRAYS`).
-pub fn particle_numtype(idx: usize) -> NumType {
-    match idx {
-        0 => NumType::I64,
-        1..=3 => NumType::F64,
-        _ => NumType::F32,
+/// Arrays per grid in file order: the baryon fields, then the particle
+/// arrays. Every writer, reader and the static planner walk a grid's
+/// arrays as `k in 0..GRID_ARRAYS` over the functions below.
+pub const GRID_ARRAYS: usize = NUM_FIELDS + PARTICLE_ARRAYS.len();
+
+/// Name of per-grid array `k` (file order).
+pub fn array_name(k: usize) -> &'static str {
+    if k < NUM_FIELDS {
+        BARYON_FIELDS[k]
+    } else {
+        PARTICLE_ARRAYS[k - NUM_FIELDS].0
     }
+}
+
+/// Element type of array `k` (file order).
+pub fn array_numtype(k: usize) -> NumType {
+    match k.checked_sub(NUM_FIELDS) {
+        None => NumType::F32,
+        Some(0) => NumType::I64,
+        Some(1..=3) => NumType::F64,
+        Some(_) => NumType::F32,
+    }
+}
+
+/// Shape of array `k` (file order) of grid `meta`: the grid's cells for
+/// a field, one entry per particle for a particle array.
+pub fn array_dims(meta: &GridMeta, k: usize) -> Vec<u64> {
+    if k < NUM_FIELDS {
+        meta.bbox.size().to_vec()
+    } else {
+        vec![meta.nparticles]
+    }
+}
+
+/// Byte length of array `k` (file order) of grid `meta`.
+pub fn array_len(meta: &GridMeta, k: usize) -> u64 {
+    if k < NUM_FIELDS {
+        meta.bbox.cells() * 4
+    } else {
+        meta.nparticles * PARTICLE_ARRAYS[k - NUM_FIELDS].1
+    }
+}
+
+/// The bytes of `patch`'s arrays in file order, particles sorted by ID,
+/// one array at a time (the inverse of `restart::patch_from_arrays`).
+/// Particles already in ID order are not copied.
+pub fn patch_arrays(patch: &GridPatch) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let mut sorted = Cow::Borrowed(&patch.particles);
+    if !sorted.id.is_sorted() {
+        sorted.to_mut().sort_by_id();
+    }
+    (0..GRID_ARRAYS).map(move |k| match patch.fields.get(k) {
+        Some(field) => field.to_bytes(),
+        None => sorted.array_bytes(array_name(k)),
+    })
 }
 
 /// File view of one top-grid slab: its subarray of the `n`^3 field.

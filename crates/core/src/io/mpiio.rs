@@ -7,7 +7,6 @@
 
 use super::*;
 use crate::sort::parallel_sort_by_id;
-use amrio_amr::{GridMeta, GridPatch, Hierarchy, PARTICLE_ARRAYS};
 use amrio_mpiio::{Mode, MpiFile};
 
 /// The optimized parallel strategy: everything in one shared file
@@ -73,28 +72,13 @@ impl Layout {
     }
 
     /// Offset of array `k` (file order: fields, then particle arrays).
-    fn array_off(&self, gid: u64, k: usize) -> u64 {
+    pub fn array_off(&self, gid: u64, k: usize) -> u64 {
         self.offsets
             .iter()
             .find(|(id, _)| *id == gid)
             .unwrap_or_else(|| panic!("grid {gid} not in layout"))
             .1[k]
     }
-}
-
-/// The arrays of one subgrid in file order, particles sorted by ID.
-fn grid_arrays(g: &GridPatch) -> Vec<Vec<u8>> {
-    let mut sorted = g.particles.clone();
-    sorted.sort_by_id();
-    g.fields
-        .iter()
-        .map(|f| f.to_bytes())
-        .chain(
-            PARTICLE_ARRAYS
-                .iter()
-                .map(|(name, _)| sorted.array_bytes(name)),
-        )
-        .collect()
 }
 
 /// Top grid into the shared file: collective I/O with subarray views
@@ -168,12 +152,12 @@ impl MpiIoOptimized {
         //     laid out back-to-back, so without write-behind staging
         //     they go down as one gathered request per grid.
         for g in &st.my_subgrids {
-            let arrays = grid_arrays(g);
             if write_behind {
-                for (k, a) in arrays.iter().enumerate() {
-                    f.write_at(layout.array_off(g.id, k), a);
+                for (k, a) in patch_arrays(g).enumerate() {
+                    f.write_at(layout.array_off(g.id, k), &a);
                 }
             } else {
+                let arrays: Vec<Vec<u8>> = patch_arrays(g).collect();
                 let start = layout.array_off(g.id, 0);
                 debug_assert!(
                     arrays.iter().enumerate().all(|(k, a)| {
@@ -258,7 +242,7 @@ impl IoStrategy for MpiIoMultiFile {
         for g in &st.my_subgrids {
             let offs = subgrid_offsets(st.hierarchy.find(g.id).expect("meta"));
             let gf = io.open_single(comm, &subgrid_file(dump, g.id), Mode::Create);
-            for (off, a) in offs.iter().zip(grid_arrays(g)) {
+            for (off, a) in offs.iter().zip(patch_arrays(g)) {
                 gf.write_at(*off, &a);
             }
         }

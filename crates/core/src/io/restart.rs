@@ -17,30 +17,8 @@
 //! scattered request or one per array) live in those closures.
 
 use super::*;
-use amrio_amr::{block_bounds, GridMeta, BARYON_FIELDS, PARTICLE_ARRAYS};
+use amrio_amr::block_bounds;
 use amrio_mpiio::MpiFile;
-
-/// Arrays per grid in file order: the baryon fields, then the particle
-/// arrays.
-pub(crate) const GRID_ARRAYS: usize = NUM_FIELDS + PARTICLE_ARRAYS.len();
-
-/// Name of per-grid array `k` (file order).
-pub(crate) fn array_name(k: usize) -> &'static str {
-    if k < NUM_FIELDS {
-        BARYON_FIELDS[k]
-    } else {
-        PARTICLE_ARRAYS[k - NUM_FIELDS].0
-    }
-}
-
-/// Byte length of array `k` (file order) of grid `meta`.
-pub(crate) fn array_len(meta: &GridMeta, k: usize) -> u64 {
-    if k < NUM_FIELDS {
-        meta.bbox.cells() * 4
-    } else {
-        meta.nparticles * PARTICLE_ARRAYS[k - NUM_FIELDS].1
-    }
-}
 
 /// Rank 0 runs `fetch`; every rank receives its result by broadcast.
 pub(crate) fn from_root(comm: &Comm, fetch: impl FnOnce() -> Vec<u8>) -> Bytes {
@@ -67,14 +45,14 @@ pub(crate) fn patch_from_arrays<B: AsRef<[u8]>>(
 ) -> GridPatch {
     let mut patch = GridPatch::new(meta.id, meta.level, meta.bbox);
     let dims = patch.dims();
-    for (k, field) in patch.fields.iter_mut().enumerate() {
-        *field = Array3::from_bytes(dims, fetch(k, array_len(meta, k)).as_ref());
-    }
-    for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-        let k = NUM_FIELDS + a;
-        patch
-            .particles
-            .set_array_bytes(name, fetch(k, array_len(meta, k)).as_ref());
+    for k in 0..GRID_ARRAYS {
+        let bytes = fetch(k, array_len(meta, k));
+        match patch.fields.get_mut(k) {
+            Some(field) => *field = Array3::from_bytes(dims, bytes.as_ref()),
+            None => patch
+                .particles
+                .set_array_bytes(array_name(k), bytes.as_ref()),
+        }
     }
     patch.particles.validate();
     patch

@@ -50,8 +50,6 @@ pub struct SimConfig {
     /// Density threshold (in mean densities) above which cells are
     /// flagged for refinement.
     pub refine_threshold: f32,
-    /// Evolution cycles between data dumps.
-    pub cycles_per_dump: u32,
     /// Seed for the initial conditions.
     pub seed: u64,
     /// Scale particle count for quick tests (1.0 = one per cell).
@@ -70,7 +68,6 @@ impl SimConfig {
             nranks,
             max_level: 2,
             refine_threshold: 5.0,
-            cycles_per_dump: 4,
             seed: 20020919, // CLUSTER 2002 conference date
             particle_fraction: 1.0,
         }

@@ -122,7 +122,7 @@ pub enum StrategyId {
     MpiIoNaive,
     /// MDMS metadata-advised reader (`"mdms-advised"`).
     MdmsAdvised,
-    /// One file per rank (`"mpiio-multifile"`).
+    /// Shared-file top grid, one file per subgrid (`"mpiio-multifile"`).
     MpiIoMultiFile,
     /// Write-behind staging variant (`"mpiio-writebehind"`).
     MpiIoWriteBehind,
@@ -433,15 +433,6 @@ impl RetrySpec {
             backoff: SimDur(self.backoff_ns),
             op_timeout: self.op_timeout_ns.map(SimDur),
             failover: self.failover,
-        }
-    }
-
-    pub fn from_policy(p: RetryPolicy) -> RetrySpec {
-        RetrySpec {
-            max_retries: p.max_retries,
-            backoff_ns: p.backoff.0,
-            op_timeout_ns: p.op_timeout.map(|d| d.0),
-            failover: p.failover,
         }
     }
 

@@ -180,12 +180,6 @@ impl SimState {
     pub fn owned_particles(&self) -> u64 {
         self.owned_patches().map(|p| p.particles.len() as u64).sum()
     }
-
-    /// Bytes a full dump of the whole simulation moves (all ranks).
-    pub fn global_dump_bytes(&self, comm: &Comm) -> u64 {
-        let local: u64 = self.owned_patches().map(|p| p.payload_bytes()).sum();
-        comm.allreduce_u64(local, amrio_mpi::coll::ReduceOp::Sum)
-    }
 }
 
 fn patch_digest(p: &GridPatch) -> u64 {

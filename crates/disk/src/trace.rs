@@ -34,10 +34,6 @@ impl IoTrace {
         self.enabled = true;
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn record(&mut self, e: IoEvent) {
         if self.enabled {
             self.events.push(e);

@@ -9,10 +9,8 @@
 
 use crate::diag::{Diagnostic, Kind, Span};
 use amrio_check::{CollDesc, CollKind};
+use amrio_mpiio::{normalize, Region};
 use std::fmt;
-
-/// A byte region `(offset, len)` within one file.
-pub type Region = (u64, u64);
 
 /// What the plan expects of one collective step. `bytes` is `Some` only
 /// when the payload is data-independent (reductions, fixed-size
@@ -51,23 +49,6 @@ impl fmt::Display for CollExpect {
         }
         write!(f, " [{}]", self.label)
     }
-}
-
-/// Sort and merge adjacent/overlapping regions, dropping empty ones.
-pub fn normalize_regions(regions: &mut Vec<Region>) {
-    regions.retain(|(_, l)| *l > 0);
-    regions.sort_unstable();
-    let mut w = 0;
-    for i in 0..regions.len() {
-        if w > 0 && regions[w - 1].0 + regions[w - 1].1 >= regions[i].0 {
-            let end = (regions[i].0 + regions[i].1).max(regions[w - 1].0 + regions[w - 1].1);
-            regions[w - 1].1 = end - regions[w - 1].0;
-        } else {
-            regions[w] = regions[i];
-            w += 1;
-        }
-    }
-    regions.truncate(w);
 }
 
 /// Set difference `a \ b` of two normalized region lists.
@@ -163,8 +144,10 @@ pub fn diff_write_union(
     mut planned: Vec<Region>,
     mut observed: Vec<Region>,
 ) -> Vec<Diagnostic> {
-    normalize_regions(&mut planned);
-    normalize_regions(&mut observed);
+    for regions in [&mut planned, &mut observed] {
+        regions.retain(|(_, l)| *l > 0);
+        normalize(regions);
+    }
     let missing = subtract_regions(&planned, &observed);
     let extra = subtract_regions(&observed, &planned);
     [
@@ -183,8 +166,10 @@ pub fn diff_read_cover(
     mut planned: Vec<Region>,
     mut observed: Vec<Region>,
 ) -> Vec<Diagnostic> {
-    normalize_regions(&mut planned);
-    normalize_regions(&mut observed);
+    for regions in [&mut planned, &mut observed] {
+        regions.retain(|(_, l)| *l > 0);
+        normalize(regions);
+    }
     let missing = subtract_regions(&planned, &observed);
     regions_issue(Kind::ReadMissing, span, "planned bytes never read", missing)
         .into_iter()

@@ -4,11 +4,12 @@
 //! trace grouped per file. Zero diagnostics means the run behaved exactly as
 //! the static plan predicted.
 
-use crate::conform::{diff_collectives, diff_read_cover, diff_write_union, Region};
+use crate::conform::{diff_collectives, diff_read_cover, diff_write_union};
 use crate::diag::{Diagnostic, Kind, Span};
 use crate::AccessPlan;
 use amrio_check::CollDesc;
 use amrio_enzo::RunProbe;
+use amrio_mpiio::Region;
 use std::collections::BTreeMap;
 
 /// Observed rank-0 collective descriptors inside an epoch window.

@@ -2,7 +2,7 @@
 //! proof and plan↔trace conformance, `amrio-verify`'s refutations and
 //! typed unknowns, and `amrio-tune`'s lints all report [`Diagnostic`]s.
 
-use crate::conform::Region;
+use amrio_mpiio::Region;
 use std::fmt;
 
 /// How bad a finding is. Ordered: `Info < Warning < Error`. For

@@ -6,14 +6,17 @@
 //! `LayoutOracle`).
 
 use crate::{Backend, DatasetPlan, FilePlan, PlanInput, RankRegions, Writers};
-use amrio_amr::{BARYON_FIELDS, PARTICLE_ARRAYS};
-use amrio_enzo::io::hdf5::ds_field;
+use amrio_amr::{GridMeta, NUM_FIELDS};
+use amrio_enzo::io::hdf5::{ds_field, subgrid_datasets};
 use amrio_enzo::io::mpiio::{Layout, HEADER};
-use amrio_enzo::io::{particle_numtype, shared_path, subgrid_path, topgrid_path};
+use amrio_enzo::io::{
+    array_dims, array_len, array_name, array_numtype, shared_path, subgrid_path, topgrid_path,
+    GRID_ARRAYS,
+};
 use amrio_enzo::TOP_GRID;
 use amrio_hdf4::{record_header_len, MAGIC_LEN};
 use amrio_hdf5::{LayoutOracle, OverheadModel, SUPERBLOCK_LEN};
-use amrio_mpiio::{Datatype, NumType};
+use amrio_mpiio::Datatype;
 
 /// Footprint of one backend's checkpoint, plus the HDF5 catalog length
 /// the schedule builder needs to pin the open broadcast.
@@ -61,60 +64,39 @@ fn single_writer(rank: usize, start: u64, len: u64) -> Writers {
     }
 }
 
+/// The plan of array `k` of grid `g`, stored at `[start, start + len)`:
+/// each top-grid field is written through every rank's slab view
+/// (independently when `cb_write` is off), the top-grid particles in
+/// ID-sorted blocks, and a subgrid's arrays by its owner alone.
+fn grid_dataset(input: &PlanInput, g: &GridMeta, k: usize, start: u64, len: u64) -> DatasetPlan {
+    let (collective, writers) = if g.id != TOP_GRID {
+        (false, single_writer(g.owner, start, len))
+    } else if k < NUM_FIELDS {
+        (
+            input.hints.cb_write,
+            top_field_writers(input, input.root_n(), start),
+        )
+    } else {
+        (false, Writers::Partition)
+    };
+    DatasetPlan {
+        name: ds_field(g.id, array_name(k)),
+        start,
+        len,
+        collective,
+        writers,
+    }
+}
+
 fn mpiio(input: &PlanInput) -> Footprint {
-    let n = input.root_n();
     let layout = Layout::new(&input.hierarchy);
     let meta_len = input.meta_len();
-    let np = input
-        .hierarchy
-        .find(TOP_GRID)
-        .expect("no top grid")
-        .nparticles;
 
     let mut datasets = Vec::new();
-    for (i, name) in BARYON_FIELDS.iter().enumerate() {
-        let start = layout.field_off(TOP_GRID, i);
-        let len = n * n * n * 4;
-        datasets.push(DatasetPlan {
-            name: ds_field(TOP_GRID, name),
-            start,
-            len,
-            // With `cb_write` off the fields are written independently.
-            collective: input.hints.cb_write,
-            writers: top_field_writers(input, n, start),
-        });
-    }
-    for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-        datasets.push(DatasetPlan {
-            name: ds_field(TOP_GRID, name),
-            start: layout.particle_off(TOP_GRID, a),
-            len: np * width,
-            collective: false,
-            writers: Writers::Partition,
-        });
-    }
-    for g in input.hierarchy.grids.iter().filter(|g| g.id != TOP_GRID) {
-        let cells = g.bbox.cells();
-        for (i, name) in BARYON_FIELDS.iter().enumerate() {
-            let start = layout.field_off(g.id, i);
-            datasets.push(DatasetPlan {
-                name: ds_field(g.id, name),
-                start,
-                len: cells * 4,
-                collective: false,
-                writers: single_writer(g.owner, start, cells * 4),
-            });
-        }
-        for (a, (name, width)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let start = layout.particle_off(g.id, a);
-            let len = g.nparticles * width;
-            datasets.push(DatasetPlan {
-                name: ds_field(g.id, name),
-                start,
-                len,
-                collective: false,
-                writers: single_writer(g.owner, start, len),
-            });
+    for g in &input.hierarchy.grids {
+        for k in 0..GRID_ARRAYS {
+            let start = layout.array_off(g.id, k);
+            datasets.push(grid_dataset(input, g, k, start, array_len(g, k)));
         }
     }
 
@@ -173,13 +155,24 @@ fn h4_file(path: String, writer: usize) -> (FilePlan, u64) {
     (file, MAGIC_LEN)
 }
 
+/// Replay `write_patch_sds`: one record per array of grid `g`.
+fn h4_grid_records(file: &mut FilePlan, cur: &mut u64, writer: usize, g: &GridMeta) {
+    for k in 0..GRID_ARRAYS {
+        let ndims = array_dims(g, k).len();
+        h4_record(
+            file,
+            cur,
+            writer,
+            array_name(k),
+            ndims,
+            array_len(g, k),
+            true,
+        );
+    }
+}
+
 fn hdf4(input: &PlanInput) -> Footprint {
-    let n = input.root_n();
-    let np = input
-        .hierarchy
-        .find(TOP_GRID)
-        .expect("no top grid")
-        .nparticles;
+    let top_meta = input.hierarchy.find(TOP_GRID).expect("no top grid");
 
     // Top-grid file: magic, hierarchy attribute, 7 fields, 10 arrays —
     // all appended by rank 0.
@@ -193,12 +186,7 @@ fn hdf4(input: &PlanInput) -> Footprint {
         input.meta_len(),
         false,
     );
-    for name in BARYON_FIELDS.iter() {
-        h4_record(&mut top, &mut cur, 0, name, 3, n * n * n * 4, true);
-    }
-    for (name, width) in PARTICLE_ARRAYS.iter() {
-        h4_record(&mut top, &mut cur, 0, name, 1, np * width, true);
-    }
+    h4_grid_records(&mut top, &mut cur, 0, top_meta);
     // The restart re-opens the file (scanning every record header) and
     // reads every attribute and dataset: the whole file is fetched.
     top.reads = vec![(0, cur)];
@@ -208,20 +196,7 @@ fn hdf4(input: &PlanInput) -> Footprint {
     // back by the restart round-robin owners.
     for g in input.hierarchy.grids.iter().filter(|g| g.id != TOP_GRID) {
         let (mut f, mut cur) = h4_file(subgrid_path(input.dump, g.id), g.owner);
-        for name in BARYON_FIELDS.iter() {
-            h4_record(&mut f, &mut cur, g.owner, name, 3, g.bbox.cells() * 4, true);
-        }
-        for (name, width) in PARTICLE_ARRAYS.iter() {
-            h4_record(
-                &mut f,
-                &mut cur,
-                g.owner,
-                name,
-                1,
-                g.nparticles * width,
-                true,
-            );
-        }
+        h4_grid_records(&mut f, &mut cur, g.owner, g);
         f.reads = vec![(0, cur)];
         files.push(f);
     }
@@ -233,13 +208,8 @@ fn hdf4(input: &PlanInput) -> Footprint {
 }
 
 fn hdf5(input: &PlanInput, model: OverheadModel) -> Footprint {
-    let n = input.root_n();
     let meta_len = input.meta_len();
-    let np = input
-        .hierarchy
-        .find(TOP_GRID)
-        .expect("no top grid")
-        .nparticles;
+    let top = input.hierarchy.find(TOP_GRID).expect("no top grid");
 
     let mut o = LayoutOracle::new(model, input.stripe);
     let mut file = FilePlan {
@@ -255,67 +225,26 @@ fn hdf5(input: &PlanInput, model: OverheadModel) -> Footprint {
     file.meta_writes.push((0, attr_addr, meta_len));
     file.reads.push((attr_addr, meta_len));
 
-    // The dataset close marker: a 16-byte rank-0 header update just
-    // before the raw data.
-    let close_marker = |file: &mut FilePlan, data_addr: u64| {
-        file.meta_writes.push((0, data_addr.saturating_sub(64), 16));
+    // Create one dataset; the close marker is a 16-byte rank-0 header
+    // update just before the raw data.
+    let mut create = |g: &GridMeta, k: usize| {
+        let name = ds_field(g.id, array_name(k));
+        let e = o.create_dataset(&name, array_numtype(k), &array_dims(g, k));
+        file.meta_writes.push((0, e.header_addr, e.header_len));
+        file.datasets
+            .push(grid_dataset(input, g, k, e.data_addr, e.data_len));
+        if g.id == TOP_GRID && k < NUM_FIELDS {
+            let ua = o.write_attr(&format!("{name}_units"), 32);
+            file.meta_writes.push((0, ua, 32));
+        }
+        file.meta_writes
+            .push((0, e.data_addr.saturating_sub(64), 16));
     };
-
-    for name in BARYON_FIELDS.iter() {
-        let dsname = ds_field(TOP_GRID, name);
-        let e = o.create_dataset(&dsname, NumType::F32, &[n, n, n]);
-        file.meta_writes.push((0, e.header_addr, e.header_len));
-        file.datasets.push(DatasetPlan {
-            name: dsname.clone(),
-            start: e.data_addr,
-            len: e.data_len,
-            collective: input.hints.cb_write,
-            writers: top_field_writers(input, n, e.data_addr),
-        });
-        let ua = o.write_attr(&format!("{dsname}_units"), 32);
-        file.meta_writes.push((0, ua, 32));
-        close_marker(&mut file, e.data_addr);
+    for k in 0..GRID_ARRAYS {
+        create(top, k);
     }
-    for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-        let dsname = ds_field(TOP_GRID, name);
-        let e = o.create_dataset(&dsname, particle_numtype(a), &[np]);
-        file.meta_writes.push((0, e.header_addr, e.header_len));
-        file.datasets.push(DatasetPlan {
-            name: dsname,
-            start: e.data_addr,
-            len: e.data_len,
-            collective: false,
-            writers: Writers::Partition,
-        });
-        close_marker(&mut file, e.data_addr);
-    }
-    for g in input.hierarchy.grids.iter().filter(|g| g.id != TOP_GRID) {
-        for name in BARYON_FIELDS.iter() {
-            let dsname = ds_field(g.id, name);
-            let e = o.create_dataset(&dsname, NumType::F32, &g.bbox.size());
-            file.meta_writes.push((0, e.header_addr, e.header_len));
-            file.datasets.push(DatasetPlan {
-                name: dsname,
-                start: e.data_addr,
-                len: e.data_len,
-                collective: false,
-                writers: single_writer(g.owner, e.data_addr, e.data_len),
-            });
-            close_marker(&mut file, e.data_addr);
-        }
-        for (a, (name, _)) in PARTICLE_ARRAYS.iter().enumerate() {
-            let dsname = ds_field(g.id, name);
-            let e = o.create_dataset(&dsname, particle_numtype(a), &[g.nparticles]);
-            file.meta_writes.push((0, e.header_addr, e.header_len));
-            file.datasets.push(DatasetPlan {
-                name: dsname,
-                start: e.data_addr,
-                len: e.data_len,
-                collective: false,
-                writers: single_writer(g.owner, e.data_addr, e.data_len),
-            });
-            close_marker(&mut file, e.data_addr);
-        }
+    for (g, k) in subgrid_datasets(&input.hierarchy) {
+        create(g, k);
     }
     let (cat_addr, cat_len) = o.close();
     file.meta_writes.push((0, cat_addr, cat_len));

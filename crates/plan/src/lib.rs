@@ -42,7 +42,8 @@ mod metrics;
 mod schedule;
 mod verify;
 
-use conform::{CollExpect, Region};
+use amrio_mpiio::Region;
+use conform::CollExpect;
 pub use conformance::check_conformance;
 pub use diag::{sort_diagnostics, Diagnostic, Kind, Severity, Span};
 pub use metrics::{layout_metrics, LayoutMetrics};

@@ -68,7 +68,8 @@ pub fn layout_metrics(input: &PlanInput, plan: &AccessPlan) -> LayoutMetrics {
             .iter()
             .map(|&(_, off, len)| (off, len))
             .collect();
-        crate::conform::normalize_regions(&mut meta);
+        meta.retain(|(_, l)| *l > 0);
+        amrio_mpiio::normalize(&mut meta);
         meta_bytes += meta.iter().map(|(_, l)| l).sum::<u64>();
 
         for ds in &file.datasets {

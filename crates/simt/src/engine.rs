@@ -558,25 +558,12 @@ impl Ctx {
     }
 }
 
-/// Host-side tuning knobs for the executor. The virtual-time results are
-/// independent of these — they only affect wall-clock and memory.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Host stack size per rank thread, in bytes. Rank closures run the
-    /// whole simulated I/O stack but keep bulk data on the heap
-    /// ([`crate::Bytes`]), so small stacks suffice — the default keeps a
-    /// 1024-rank world in the hundreds of megabytes of address space
-    /// instead of gigabytes.
-    pub stack_size: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            stack_size: 256 * 1024,
-        }
-    }
-}
+/// Host stack size per rank thread, in bytes. Rank closures run the
+/// whole simulated I/O stack but keep bulk data on the heap
+/// ([`crate::Bytes`]), so small stacks suffice: a 1024-rank world takes
+/// hundreds of megabytes of address space instead of gigabytes. Virtual
+/// time does not depend on it.
+const RANK_STACK_SIZE: usize = 256 * 1024;
 
 /// Scheduler contention counters for one run: how much host-side work
 /// the executor did to maintain the virtual-time order. Wall-clock
@@ -640,28 +627,13 @@ where
     T: Send,
     F: Fn(&Ctx) -> T + Sync,
 {
-    run_with_config(nranks, EngineConfig::default(), None, f)
+    run_with_hook(nranks, None, f)
 }
 
 /// [`run`], with an optional [`ClockHook`] dilating local advances
 /// (e.g. a fault plan's compute stragglers). `run(n, f)` is exactly
 /// `run_with_hook(n, None, f)`.
 pub fn run_with_hook<T, F>(nranks: usize, hook: Option<Arc<dyn ClockHook>>, f: F) -> SimReport<T>
-where
-    T: Send,
-    F: Fn(&Ctx) -> T + Sync,
-{
-    run_with_config(nranks, EngineConfig::default(), hook, f)
-}
-
-/// The fully-general entry point: [`run_with_hook`] plus host-side
-/// executor knobs ([`EngineConfig`]).
-pub fn run_with_config<T, F>(
-    nranks: usize,
-    config: EngineConfig,
-    hook: Option<Arc<dyn ClockHook>>,
-    f: F,
-) -> SimReport<T>
 where
     T: Send,
     F: Fn(&Ctx) -> T + Sync,
@@ -701,7 +673,7 @@ where
             let f = &f;
             let h = std::thread::Builder::new()
                 .name(format!("rank{rank}"))
-                .stack_size(config.stack_size)
+                .stack_size(RANK_STACK_SIZE)
                 .spawn_scoped(s, move || {
                     let out = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                     ctx.finish(out.is_err());

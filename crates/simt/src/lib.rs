@@ -26,10 +26,7 @@ pub mod sync;
 pub mod time;
 
 pub use bytes::{copied_bytes, count_copy, reset_copied_bytes, Bytes};
-pub use engine::{
-    run, run_with_config, run_with_hook, ClockHook, Ctx, Deadlock, EngineConfig, Rank, SchedStats,
-    SimReport,
-};
+pub use engine::{run, run_with_hook, ClockHook, Ctx, Deadlock, Rank, SchedStats, SimReport};
 pub use time::{SimDur, SimTime};
 
 #[cfg(test)]
@@ -388,17 +385,10 @@ mod stress {
         // must raise the typed Deadlock panic and the state dump must
         // still cover every rank even at high rank counts.
         let res = std::panic::catch_unwind(|| {
-            run_with_config(
-                512,
-                EngineConfig {
-                    stack_size: 128 * 1024,
-                },
-                None,
-                |ctx| {
-                    ctx.advance(SimDur::from_nanos(ctx.rank() as u64));
-                    ctx.park();
-                },
-            )
+            run(512, |ctx| {
+                ctx.advance(SimDur::from_nanos(ctx.rank() as u64));
+                ctx.park();
+            })
         });
         let err = res.expect_err("deadlock must panic");
         let d = err

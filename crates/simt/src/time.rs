@@ -24,10 +24,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// The span from `earlier` to `self`; zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDur {
         SimDur(self.0.saturating_sub(earlier.0))

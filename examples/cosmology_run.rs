@@ -12,11 +12,13 @@ use amrio_mpi::World;
 use amrio_mpiio::MpiIo;
 use amrio_simt::SimTime;
 
+/// Evolution cycles between data dumps.
+const CYCLES_PER_DUMP: u64 = 3;
+
 fn main() {
     let nranks = 8;
     let platform = Platform::origin2000(nranks);
-    let mut cfg = SimConfig::new(ProblemSize::Custom(32), nranks);
-    cfg.cycles_per_dump = 3;
+    let cfg = SimConfig::new(ProblemSize::Custom(32), nranks);
 
     let world = World::new(nranks, platform.net.clone());
     let io = MpiIo::new(platform.fs.clone());
@@ -29,7 +31,7 @@ fn main() {
         let mut dump_id = 0u32;
         for cycle in 1..=9u64 {
             evolve_step(c, &mut st, 1.0);
-            if cycle % cfg.cycles_per_dump as u64 == 0 {
+            if cycle % CYCLES_PER_DUMP == 0 {
                 rebuild_refinement(c, &mut st);
                 let t0 = c.now();
                 strategy.write_checkpoint(c, &io, &st, dump_id);

@@ -14,11 +14,13 @@ use amrio::enzo::{
 use amrio_mpi::World;
 use amrio_mpiio::MpiIo;
 
+/// Evolution cycles before the checkpoint, and again after the restart.
+const CYCLES_PER_DUMP: u64 = 2;
+
 fn main() {
     let nranks = 4;
     let platform = Platform::origin2000(nranks);
-    let mut cfg = SimConfig::new(ProblemSize::Custom(32), nranks);
-    cfg.cycles_per_dump = 2;
+    let cfg = SimConfig::new(ProblemSize::Custom(32), nranks);
 
     // --- Run A: 4 cycles straight through. ---
     let world = World::new(nranks, platform.net.clone());
@@ -26,7 +28,7 @@ fn main() {
     let run_a = world.run(|c| {
         let mut st = SimState::init(c, cfg.clone());
         rebuild_refinement(c, &mut st);
-        for _ in 0..4 {
+        for _ in 0..2 * CYCLES_PER_DUMP {
             evolve_step(c, &mut st, 1.0);
         }
         global_digest(c, &st)
@@ -40,15 +42,18 @@ fn main() {
         {
             let mut st = SimState::init(c, cfg.clone());
             rebuild_refinement(c, &mut st);
-            for _ in 0..2 {
+            for _ in 0..CYCLES_PER_DUMP {
                 evolve_step(c, &mut st, 1.0);
             }
             strategy.write_checkpoint(c, &io2, &st, 1);
             // st dropped: the "crash".
         }
         let mut st = strategy.read_checkpoint(c, &io2, &cfg, 1);
-        assert_eq!(st.cycle, 2, "restart resumes at the dumped cycle");
-        for _ in 0..2 {
+        assert_eq!(
+            st.cycle, CYCLES_PER_DUMP,
+            "restart resumes at the dumped cycle"
+        );
+        for _ in 0..CYCLES_PER_DUMP {
             evolve_step(c, &mut st, 1.0);
         }
         global_digest(c, &st)
